@@ -2,6 +2,7 @@ package repro.core
 
 import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
 import org.apache.spark.sql.functions._
+import repro.util.Stage
 import Model._
 
 /** End-to-end IUAD pipeline (Algorithm 1).
@@ -94,8 +95,8 @@ object Iuad {
 
     // Stage II — profiles, similarities.
     val stats = Similarity.globalStats(spark, papers)
-    val profiles = Profiles.build(spark, scn, papers, authorships, cfg.wlIters).cache()
-    val pairs = Similarity.candidatePairs(spark, profiles, stats).cache()
+    val profiles = Stage.materialise(Profiles.build(spark, scn, papers, authorships, cfg.wlIters))
+    val pairs = Stage.materialise(Similarity.candidatePairs(spark, profiles, stats))
 
     // Training sample (10 %) + split-vertex matched pairs.
     val nPairs = pairs.count()

@@ -11,20 +11,8 @@ import org.apache.spark.sql.DataFrame
   */
 object Model {
 
-  /** One (paper, name) occurrence from a co-author list. */
-  final case class Occurrence(pid: Long, name: String)
-
-  /** η-SCR edge between two names, a < b, with co-occurrence count. */
-  final case class ScrEdge(a: String, b: String, cnt: Long)
-
   /** For name `name`, SCR partner `nbr` lies in neighbour-component `comp`. */
   final case class NeighborComp(name: String, nbr: String, comp: Int)
-
-  /** SCN instance-level edge (between vertex ids). */
-  final case class ScnEdge(src: String, dst: String)
-
-  /** Assignment of a paper occurrence to an SCN vertex. */
-  final case class VertexPaper(vid: String, name: String, pid: Long)
 
   /** The stable collaboration network (Stage I output).
     *

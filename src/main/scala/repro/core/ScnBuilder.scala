@@ -2,7 +2,7 @@ package repro.core
 
 import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
 import org.apache.spark.sql.functions._
-import repro.util.UnionFind
+import repro.util.{Stage, UnionFind}
 import Model._
 
 /** Stage I of IUAD: stable collaboration network construction (§IV).
@@ -71,9 +71,9 @@ object ScnBuilder {
 
   /** Full SCN from the paper database. */
   def build(spark: SparkSession, authorships: DataFrame, eta: Int): Scn = {
-    val occ = authorships.select("pid", "name").distinct().cache()
-    val scrs = Scr.mine(authorships, eta).cache()
-    val nc = neighborComponents(spark, scrs).toDF().cache()
+    val occ = Stage.materialise(authorships.select("pid", "name").distinct())
+    val scrs = Stage.materialise(Scr.mine(authorships, eta))
+    val nc = Stage.materialise(neighborComponents(spark, scrs).toDF())
     val edges = instanceEdges(scrs, nc)
 
     // SCR name pairs present inside each paper's co-author list.
@@ -108,7 +108,7 @@ object ScnBuilder {
         col("pid"),
       )
 
-    val vertexPapers = assigned.unionByName(singletons).cache()
+    val vertexPapers = Stage.materialise(assigned.unionByName(singletons))
     val vertices = vertexPapers
       .select("vid", "name")
       .union(edges.select(col("src").as("vid"), split(col("src"), "#").getItem(0).as("name")))

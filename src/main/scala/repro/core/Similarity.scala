@@ -131,10 +131,11 @@ object Similarity {
     )
 
   /** All candidate same-name vertex pairs with similarity vectors, computed
-    * per name group ("per partition"). Names with more than `maxPerName`
-    * vertices are truncated to the most prolific ones (logged via counter
-    * column) to bound the quadratic blow-up — the paper's DBLP run never hits
-    * this at our scales.
+    * per name group ("per partition"). A name with more than `maxPerName`
+    * (default 3,000) vertices keeps only its `maxPerName` most prolific ones,
+    * to bound the quadratic blow-up. The truncation is silent today: nothing
+    * records which names lost vertices or how many pairs were dropped.
+    * ROADMAP item 3 replaces it with exact pruning or a count in the trace.
     */
   def candidatePairs(
       spark: SparkSession,

@@ -82,6 +82,16 @@ class IuadEndToEndSpec extends SparkSpec {
     known.foreach(g => assert(g.length === Similarity.NumFeatures))
   }
 
+  test("stage outputs are leaf plans that keep their shuffle partitioning") {
+    // Nested caches embed every parent plan, so the rendered plan grows
+    // exponentially with pipeline depth, not with data size.
+    val planChars = result.assignment.queryExecution.toString.length
+    info(s"assignment plan: $planChars characters")
+    assert(planChars < 1000000, s"assignment plan renders to $planChars characters")
+    // The EM training sample is drawn per partition of `pairs`.
+    assert(result.pairs.rdd.getNumPartitions === spark.conf.get("spark.sql.shuffle.partitions").toInt)
+  }
+
   test("pipeline is deterministic in config and seed") {
     val r2 = Iuad.run(spark, papersDf, authDf, Iuad.Config(eta = 3, seed = 7L))
     val a1 = result.assignment.orderBy("pid", "name").collect().map(_.toString)
