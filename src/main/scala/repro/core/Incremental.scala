@@ -30,32 +30,6 @@ object Incremental {
       .mapGroups { (cid, it) => Profiles.merge(cid, it.map(_._2).toSeq) }
   }
 
-  /** Isolated-vertex profile of one new paper occurrence. */
-  def newOccurrenceProfile(
-      pid: Long,
-      name: String,
-      title: Seq[String],
-      venue: String,
-      year: Int,
-      coNames: Seq[String],
-      wlIters: Int,
-  ): VertexProfile = {
-    val vid = s"$name#new$pid"
-    val cs = coNames.distinct.sorted
-    val cliques =
-      (for (i <- cs.indices; j <- (i + 1) until cs.size) yield Profiles.encodeClique(cs(i), cs(j))).toSeq
-    VertexProfile(
-      vid = vid,
-      name = name,
-      pids = Seq(pid),
-      wordYears = title.map(w => (w, year)),
-      venues = Seq(venue),
-      years = Seq(year),
-      cliques = cliques,
-      wl = WlKernel.features(vid, Map.empty, Map.empty, wlIters),
-    )
-  }
-
   /** Judge every new (paper, name) occurrence.
     *
     * @return (pid, name, cluster, bestScore, nanosPerOccurrence)
@@ -74,20 +48,12 @@ object Incremental {
     val bModel = spark.sparkContext.broadcast(model)
     val bStats = spark.sparkContext.broadcast(stats)
 
-    val coLists = newAuthorships
+    // One isolated vertex `<name>#new<pid>` per new occurrence.
+    val newVertexPapers = newAuthorships
       .select("pid", "name")
       .distinct()
-      .groupBy("pid")
-      .agg(collect_list("name").as("allNames"))
-    val newOcc = newAuthorships
-      .select("pid", "name")
-      .distinct()
-      .join(newPapers.select("pid", "title", "venue", "year"), Seq("pid"))
-      .join(coLists, Seq("pid"))
-      .as[(Long, String, Seq[String], String, Int, Seq[String])]
-      .map { case (pid, name, title, venue, year, allNames) =>
-        newOccurrenceProfile(pid, name, title, venue, year, allNames.filterNot(_ == name), wlIters)
-      }
+      .withColumn("vid", concat(col("name"), lit("#new"), col("pid")))
+    val newOcc = Profiles.fold(spark, newVertexPapers, newPapers, newAuthorships, Map.empty, wlIters)
 
     newOcc
       .groupByKey(_.name)

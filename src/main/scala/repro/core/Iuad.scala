@@ -43,9 +43,42 @@ object Iuad {
       scnAssignment: DataFrame,  // SCN-only: (pid, name, cluster=vid)
   )
 
-  /** Matched training pairs from randomly splitting prolific SCN vertices in
-    * two (balances the heavy unmatched majority, §V-F.2). Pseudo-profiles are
-    * built through the same [[Profiles]] fold as real ones.
+  /** Random halves of the prolific SCN vertices chosen for balancing
+    * (§V-F.2): vertex `v`'s paper `pid` goes to `v/s0` if (pid + seed) mod 2
+    * is 0, else to `v/s1`. Halves are profiled by the same [[Profiles.fold]]
+    * as SCN vertices; they have no SCN edges, so their WL ego graph is the
+    * bare name.
+    */
+  def splitHalves(
+      spark: SparkSession,
+      scn: Scn,
+      papers: DataFrame,
+      authorships: DataFrame,
+      cfg: Config,
+  ): Array[VertexProfile] = {
+    import spark.implicits._
+    val chosen = scn.vertexPapers
+      .groupBy("vid")
+      .agg(countDistinct("pid").as("n"))
+      .where(col("n") >= cfg.splitMinPapers)
+      .orderBy(abs(hash(col("vid"), lit(cfg.seed))), col("vid"))
+      .limit(cfg.splitMaxVertices)
+      .select("vid")
+      .as[String]
+      .collect()
+    if (chosen.isEmpty) return Array.empty
+
+    val halves = scn.vertexPapers
+      .filter(col("vid").isInCollection(chosen))
+      .withColumn(
+        "vid",
+        concat(col("vid"), when(pmod(col("pid") + lit(cfg.seed), lit(2)) === 0, lit("/s0")).otherwise(lit("/s1"))),
+      )
+    Profiles.fold(spark, halves, papers, authorships, Map.empty, cfg.wlIters).collect()
+  }
+
+  /** Matched training pairs: the γ of the two halves of each split vertex
+    * (balances the heavy unmatched majority, §V-F.2).
     */
   def splitVertexPairs(
       spark: SparkSession,
@@ -54,37 +87,12 @@ object Iuad {
       authorships: DataFrame,
       stats: Similarity.GlobalStats,
       cfg: Config,
-  ): Array[Array[Double]] = {
-    import spark.implicits._
-    val eligible = scn.vertexPapers
-      .groupBy("vid")
-      .agg(countDistinct("pid").as("n"))
-      .where(col("n") >= cfg.splitMinPapers)
-      .orderBy(abs(hash(col("vid"), lit(cfg.seed))), col("vid"))
-      .limit(cfg.splitMaxVertices)
-      .select("vid")
-    val chosen = eligible.as[String].collect().toSet
-    if (chosen.isEmpty) return Array.empty
-    val bChosen = spark.sparkContext.broadcast(chosen)
-
-    val pseudoVp = scn.vertexPapers
-      .filter(col("vid").isInCollection(chosen))
-      .withColumn(
-        "vid",
-        concat(col("vid"), when(pmod(col("pid") + lit(cfg.seed), lit(2)) === 0, lit("/s0")).otherwise(lit("/s1"))),
-      )
-    val pseudoScn = Scn(scn.vertices, scn.edges, pseudoVp, scn.neighborComp)
-    val pseudo = Profiles
-      .buildBase(spark, pseudoScn, papers, authorships)
-      .map(p => p.copy(wl = WlKernel.features(p.vid, Map.empty, Map.empty, cfg.wlIters)))
-      .collect()
-
-    pseudo
+  ): Array[Array[Double]] =
+    splitHalves(spark, scn, papers, authorships, cfg)
       .groupBy(_.vid.split("/s").head)
       .valuesIterator
       .collect { case Array(a, b) => Similarity.gamma(a, b, stats) }
       .toArray
-  }
 
   def run(spark: SparkSession, papers: DataFrame, authorships: DataFrame, cfg: Config = Config()): Result = {
     import spark.implicits._

@@ -6,7 +6,7 @@ import org.apache.spark.sql.DataFrame
   *
   * Vertex ids are strings: `"<name>#c<k>"` for the k-th SCR component of a
   * name, `"<name>#p<pid>"` for a singleton (one isolated vertex per
-  * (name, paper) occurrence — see DESIGN.md §5.8). Synthetic names never
+  * (name, paper) occurrence — see DESIGN.md §5.11). Synthetic names never
   * contain `#`, which keeps the ids self-describing and deterministic.
   */
 object Model {
@@ -28,7 +28,8 @@ object Model {
       neighborComp: DataFrame,
   )
 
-  /** Everything the six similarity functions need about one SCN vertex.
+  /** Everything the six similarity functions need about one vertex: an SCN
+    * vertex, a split half or a new occurrence, all built by [[Profiles.fold]].
     *
     * @param wordYears one (keyword, year) entry per paper containing it
     * @param cliques   co-author name pairs `"yz"` co-occurring with the
@@ -41,7 +42,6 @@ object Model {
       pids: Seq[Long],
       wordYears: Seq[(String, Int)],
       venues: Seq[String],
-      years: Seq[Int],
       cliques: Seq[String],
       wl: Map[String, Int],
   ) {

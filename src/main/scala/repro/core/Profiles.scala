@@ -4,12 +4,15 @@ import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
 import org.apache.spark.sql.functions._
 import Model._
 
-/** Builds one [[Model.VertexProfile]] per SCN vertex that owns papers.
+/** Builds every [[Model.VertexProfile]] from paper rows: SCN vertices, the
+  * halves of a split vertex (§V-F.2) and new-paper occurrences (§V-E) all go
+  * through [[fold]].
   *
-  * Relational parts (paper attributes, co-author lists) are DataFrame joins;
-  * the per-vertex fold is a `groupByKey(vid).mapGroups`. WL features need the
-  * instance-level SCN adjacency, which is SCR-derived and therefore small —
-  * it is collected once and broadcast.
+  * Relational parts (paper attributes, each paper's author names) are
+  * DataFrame joins; the per-vertex fold is a `groupByKey(vid).mapGroups` that
+  * also computes the WL features. WL needs the instance-level SCN adjacency,
+  * which is SCR-derived and therefore small — it is collected once and ships
+  * with the fold's tasks.
   */
 object Profiles {
 
@@ -19,78 +22,67 @@ object Profiles {
   def encodeClique(y: String, z: String): String =
     if (y < z) s"$y$CliqueSep$z" else s"$z$CliqueSep$y"
 
-  /** All (vid, name, pid, title, venue, year, coNames) rows. */
-  private def joined(scn: Scn, papers: DataFrame, authorships: DataFrame): DataFrame = {
-    val occ = authorships.select("pid", "name").distinct()
-    val coNames = scn.vertexPapers
-      .join(occ.withColumnRenamed("name", "coName"), Seq("pid"))
-      .where(col("coName") =!= col("name"))
-      .groupBy("vid", "pid")
-      .agg(collect_list("coName").as("coNames"))
-    scn.vertexPapers
-      .join(papers, Seq("pid"))
-      .join(coNames, Seq("vid", "pid"), "left_outer")
-      .select(
-        col("vid"), col("name"), col("pid"), col("title"), col("venue"), col("year"),
-        coalesce(col("coNames"), array().cast("array<string>")).as("coNames"),
-      )
-  }
-
-  /** Profiles without WL features (wl left empty). */
-  def buildBase(spark: SparkSession, scn: Scn, papers: DataFrame, authorships: DataFrame): Dataset[VertexProfile] = {
-    import spark.implicits._
-    joined(scn, papers, authorships)
-      .as[(String, String, Long, Seq[String], String, Int, Seq[String])]
-      .groupByKey(_._1)
-      .mapGroups { (vid, it) =>
-        val rows = it.toArray
-        val name = rows.head._2
-        val pids = rows.map(_._3).toSeq.sorted
-        val wordYears = rows.flatMap { case (_, _, _, title, _, year, _) =>
-          title.map(w => (w, year))
-        }.toSeq
-        val venues = rows.map(_._5).toSeq.sorted
-        val years = rows.map(_._6).toSeq.sorted
-        val cliques = rows.flatMap { case (_, _, _, _, _, _, coNames) =>
-          val cs = coNames.distinct.sorted
-          for (i <- cs.indices; j <- (i + 1) until cs.size) yield encodeClique(cs(i), cs(j))
-        }.distinct.toSeq.sorted
-        VertexProfile(vid, name, pids, wordYears, venues, years, cliques, Map.empty)
-      }
-  }
-
-  /** Attach WL features using the broadcast SCN adjacency. */
-  def withWl(
+  /** One profile per vid of `vertexPapers` (vid, name, pid); every
+    * (pid, name) in it must occur in `authorships`.
+    *
+    * @param adj instance-level WL adjacency; a vid missing from it is isolated
+    */
+  def fold(
       spark: SparkSession,
-      base: Dataset[VertexProfile],
-      scn: Scn,
+      vertexPapers: DataFrame,
+      papers: DataFrame,
+      authorships: DataFrame,
+      adj: Map[String, Array[String]],
       wlIters: Int,
   ): Dataset[VertexProfile] = {
     import spark.implicits._
-    val edgeRows = scn.edges.select("src", "dst").as[(String, String)].collect()
-    val adj: Map[String, Array[String]] = {
-      val m = scala.collection.mutable.HashMap.empty[String, scala.collection.mutable.ArrayBuffer[String]]
-      edgeRows.foreach { case (s, d) =>
-        m.getOrElseUpdate(s, scala.collection.mutable.ArrayBuffer.empty) += d
-        m.getOrElseUpdate(d, scala.collection.mutable.ArrayBuffer.empty) += s
+    val namesOnPaper = authorships
+      .select("pid", "name")
+      .distinct()
+      .groupBy("pid")
+      .agg(collect_list("name").as("names"))
+    vertexPapers
+      .join(papers, Seq("pid"))
+      .join(namesOnPaper, Seq("pid"))
+      .select("vid", "name", "pid", "title", "venue", "year", "names")
+      .as[(String, String, Long, Seq[String], String, Int, Seq[String])]
+      .groupByKey(_._1)
+      .mapGroups { (vid, it) =>
+        // pid order: γ3 sums word vectors in wordYears order, which must not
+        // depend on the shuffle.
+        val rows = it.toArray.sortBy(_._3)
+        val name = rows.head._2
+        val cliques = rows.flatMap { row =>
+          val cs = row._7.filterNot(_ == name).distinct.sorted
+          for (i <- cs.indices; j <- (i + 1) until cs.size) yield encodeClique(cs(i), cs(j))
+        }.distinct.toSeq.sorted
+        VertexProfile(
+          vid = vid,
+          name = name,
+          pids = rows.map(_._3).toSeq,
+          wordYears = rows.flatMap(row => row._4.map(w => (w, row._6))).toSeq,
+          venues = rows.map(_._5).toSeq.sorted,
+          cliques = cliques,
+          wl = WlKernel.features(vid, adj, Map.empty, wlIters),
+        )
       }
-      m.map { case (k, v) => k -> v.distinct.sorted.toArray }.toMap
-    }
-    val bAdj = spark.sparkContext.broadcast(adj)
-    base.map { p =>
-      p.copy(wl = WlKernel.features(p.vid, bAdj.value, Map.empty, wlIters))
-    }
   }
 
-  /** Full profile build: relational fold + WL attachment. */
+  /** Profiles of every SCN vertex that owns papers, with WL over SCN edges. */
   def build(
       spark: SparkSession,
       scn: Scn,
       papers: DataFrame,
       authorships: DataFrame,
       wlIters: Int = 2,
-  ): Dataset[VertexProfile] =
-    withWl(spark, buildBase(spark, scn, papers, authorships), scn, wlIters)
+  ): Dataset[VertexProfile] = {
+    import spark.implicits._
+    val adj = scn.edges.select("src", "dst").as[(String, String)].collect()
+      .flatMap { case (s, d) => Seq(s -> d, d -> s) }
+      .groupBy(_._1)
+      .map { case (v, es) => v -> es.map(_._2).distinct.sorted }
+    fold(spark, scn.vertexPapers, papers, authorships, adj, wlIters)
+  }
 
   /** Merge several profiles into one (used when GCN clusters vertices and in
     * the incremental judge). WL maps are summed — an approximation of the
@@ -107,7 +99,6 @@ object Profiles {
       pids = ps.flatMap(_.pids).distinct.sorted,
       wordYears = ps.flatMap(_.wordYears),
       venues = ps.flatMap(_.venues).sorted,
-      years = ps.flatMap(_.years).sorted,
       cliques = ps.flatMap(_.cliques).distinct.sorted,
       wl = wl,
     )

@@ -1,6 +1,6 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 
 /** η-Stable Collaborative Relation (SCR) mining — Stage I, Step I of IUAD.
@@ -38,33 +38,6 @@ object Scr {
   def mine(authorships: DataFrame, eta: Int): DataFrame = {
     require(eta >= 1, s"support threshold must be >= 1, got $eta")
     pairCounts(authorships).where(col("cnt") >= eta)
-  }
-
-  /** Reference implementation through Spark MLlib's FP-growth, kept for the
-    * equivalence test — production code uses [[mine]] (exact and cheaper for
-    * the 2-itemset-only case).
-    */
-  def mineViaFpGrowth(spark: SparkSession, authorships: DataFrame, eta: Int): DataFrame = {
-    import spark.implicits._
-    val nTx = authorships.select("pid").distinct().count()
-    val transactions = authorships
-      .select("pid", "name")
-      .distinct()
-      .groupBy("pid")
-      .agg(collect_list("name").as("items"))
-    val model = new org.apache.spark.ml.fpm.FPGrowth()
-      .setItemsCol("items")
-      .setMinSupport(math.max(eta.toDouble / nTx.toDouble, 1e-12))
-      .setMinConfidence(0.0)
-      .fit(transactions)
-    model.freqItemsets
-      .where(size(col("items")) === 2)
-      .select(
-        array_min(col("items")).as("a"),
-        array_max(col("items")).as("b"),
-        col("freq").as("cnt"),
-      )
-      .where(col("cnt") >= eta)
   }
 
   /** Stable collaborative triangles: name triples where all three pairs are

@@ -23,6 +23,7 @@ class IncrementalSpec extends SparkSpec {
   private lazy val result = Iuad.run(spark, papersOld, authOld, Iuad.Config(eta = 3, seed = 7L))
   private lazy val clusters =
     Incremental.clusterProfiles(spark, result.profiles, result.mapping).cache()
+  private lazy val baseline = Baseline2.newProfiles(spark, papersNew, authNew)
   private lazy val incremental = Incremental.disambiguate(
     spark, clusters, papersNew, authNew, result.model, result.stats, delta = 25.0).cache()
 
@@ -86,16 +87,31 @@ class IncrementalSpec extends SparkSpec {
     assert(avgNanos < 500e6, s"incremental judging too slow: ${avgNanos / 1e6} ms")
   }
 
+  test("the profile fold builds new occurrences exactly as the hand-built reference") {
+    val vertexPapers = authNew.select("pid", "name").distinct()
+      .withColumn("vid", concat(col("name"), lit("#new"), col("pid")))
+    val folded = Profiles.fold(spark, vertexPapers, papersNew, authNew, Map.empty, wlIters = 2).collect()
+    assert(folded.length === baseline.size)
+    folded.foreach { p =>
+      val ref = baseline((p.pids.head, p.name))
+      assert(p.vid === ref.vid)
+      assert(p.pids === ref.pids, p.vid)
+      assert(p.venues === ref.venues, p.vid)
+      assert(p.cliques === ref.cliques, p.vid)
+      assert(p.wl === ref.wl, p.vid)
+      assert(p.wordYears.sorted === ref.wordYears.sorted, p.vid)
+    }
+  }
+
   test("incremental respects argmax: assigned cluster has the best score") {
     // Re-compute scores for a few judged occurrences and verify argmax.
     val clusterArr = clusters.collect()
     val byName = clusterArr.groupBy(_.name)
     val judged = incremental.limit(20).collect()
-    val newOcc = Baseline2.newProfiles(spark, papersNew, authNew)
     judged.foreach { row =>
       val pid = row.getLong(0); val name = row.getString(1); val cluster = row.getString(2)
       byName.get(name).foreach { cands =>
-        val np = newOcc((pid, name))
+        val np = baseline((pid, name))
         val scores = cands.map(c => c.vid -> result.model.score(Similarity.gamma(np, c, result.stats).toSeq)).toMap
         if (!cluster.contains("#new")) {
           val best = scores.values.max
@@ -106,25 +122,36 @@ class IncrementalSpec extends SparkSpec {
   }
 }
 
-/** Helper to rebuild new-occurrence profiles outside [[Incremental]] for the
-  * argmax cross-check.
+/** Rebuilds new-occurrence profiles by hand on the driver, without
+  * [[Incremental]] or [[Profiles]], as an independent reference for the
+  * argmax cross-check and the fold.
   */
 object Baseline2 {
   import org.apache.spark.sql.{DataFrame, SparkSession}
 
   def newProfiles(spark: SparkSession, papersNew: DataFrame, authNew: DataFrame): Map[(Long, String), Model.VertexProfile] = {
     import spark.implicits._
-    val coLists = authNew.select("pid", "name").distinct()
-      .groupBy("pid").agg(collect_list("name").as("allNames"))
-    authNew.select("pid", "name").distinct()
-      .join(papersNew.select("pid", "title", "venue", "year"), Seq("pid"))
-      .join(coLists, Seq("pid"))
-      .as[(Long, String, Seq[String], String, Int, Seq[String])]
-      .collect()
-      .map { case (pid, name, title, venue, year, allNames) =>
-        (pid, name) -> Incremental.newOccurrenceProfile(
-          pid, name, title, venue, year, allNames.filterNot(_ == name), 2)
-      }
-      .toMap
+    val papers = papersNew.select("pid", "title", "venue", "year").as[(Long, Seq[String], String, Int)]
+      .collect().map(p => p._1 -> p).toMap
+    val namesOf = authNew.select("pid", "name").distinct().as[(Long, String)].collect()
+      .groupBy(_._1).map { case (pid, rows) => pid -> rows.map(_._2).sorted }
+    (for {
+      (pid, names) <- namesOf.toSeq
+      (_, title, venue, year) <- papers.get(pid).toSeq
+      name <- names
+    } yield {
+      val vid = s"$name#new$pid"
+      val co = names.filterNot(_ == name)
+      val cliques = for (i <- co.indices; j <- (i + 1) until co.size) yield s"${co(i)}\u0001${co(j)}"
+      (pid, name) -> Model.VertexProfile(
+        vid = vid,
+        name = name,
+        pids = Seq(pid),
+        wordYears = title.map(w => (w, year)),
+        venues = Seq(venue),
+        cliques = cliques,
+        wl = WlKernel.features(vid, Map.empty, Map.empty, 2),
+      )
+    }).toMap
   }
 }

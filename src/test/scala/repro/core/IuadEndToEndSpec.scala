@@ -82,6 +82,22 @@ class IuadEndToEndSpec extends SparkSpec {
     known.foreach(g => assert(g.length === Similarity.NumFeatures))
   }
 
+  test("each split half holds its parity of the parent's papers and a bare-name WL") {
+    val splitCfg = Iuad.Config(eta = 3, seed = 7L)
+    val halves = Iuad.splitHalves(spark, result.scn, papersDf, authDf, splitCfg)
+    assert(halves.nonEmpty, "no split vertices at this scale")
+    val parentPids = result.scn.vertexPapers.select("vid", "pid").as[(String, Long)].collect()
+      .groupBy(_._1).map { case (vid, rows) => vid -> rows.map(_._2).toSet }
+    halves.foreach { h =>
+      val (parent, half) = h.vid.splitAt(h.vid.length - 3)
+      val parity = half match { case "/s0" => 0L; case "/s1" => 1L }
+      val expected = parentPids(parent).filter(pid => Math.floorMod(pid + splitCfg.seed, 2L) == parity)
+      assert(h.pids.toSet === expected, h.vid)
+      assert(h.pids.size === expected.size, h.vid)
+      assert(h.wl === WlKernel.features(h.vid, Map.empty, Map.empty, splitCfg.wlIters), h.vid)
+    }
+  }
+
   test("stage outputs are leaf plans that keep their shuffle partitioning") {
     // Nested caches embed every parent plan, so the rendered plan grows
     // exponentially with pipeline depth, not with data size.

@@ -28,10 +28,9 @@ class ProfilesSpec extends SparkSpec {
     }
   }
 
-  test("profiles carry venues and years per paper") {
+  test("profiles carry one venue per paper") {
     profiles.take(50).foreach { p =>
       assert(p.venues.size === p.pids.size)
-      assert(p.years.size === p.pids.size)
     }
   }
 

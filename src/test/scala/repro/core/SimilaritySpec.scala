@@ -17,10 +17,9 @@ class SimilaritySpec extends SparkSpec {
       pids: Seq[Long] = Seq(1L),
       wordYears: Seq[(String, Int)] = Seq.empty,
       venues: Seq[String] = Seq.empty,
-      years: Seq[Int] = Seq(2000),
       cliques: Seq[String] = Seq.empty,
       wl: Map[String, Int] = Map.empty,
-  ) = VertexProfile(vid, name, pids, wordYears, venues, years, cliques, wl)
+  ) = VertexProfile(vid, name, pids, wordYears, venues, cliques, wl)
 
   test("gamma has exactly 6 components") {
     val p = prof("a#p1")
