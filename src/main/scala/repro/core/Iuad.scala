@@ -7,7 +7,8 @@ import Model._
 
 /** End-to-end IUAD pipeline (Algorithm 1).
   *
-  * Stage I: [[ScnBuilder]] mines η-SCRs + triangles and builds the SCN.
+  * Stage I: [[ScnBuilder]] mines η-SCRs, builds their instance graph on the
+  * driver and assigns every (name, paper) occurrence to an SCN vertex.
   * Stage II: [[Profiles]] + [[Similarity]] produce candidate-pair similarity
   * vectors; [[Em]] learns the generative model on a 10 % sample augmented
   * with split-vertex matched pairs (§V-F.2); [[GcnBuilder]] scores all pairs
@@ -78,7 +79,8 @@ object Iuad {
   }
 
   /** Matched training pairs: the γ of the two halves of each split vertex
-    * (balances the heavy unmatched majority, §V-F.2).
+    * (balances the heavy unmatched majority, §V-F.2). A half's vid is its
+    * parent's plus the 3-character suffix `/s0` or `/s1`.
     */
   def splitVertexPairs(
       spark: SparkSession,
@@ -89,7 +91,7 @@ object Iuad {
       cfg: Config,
   ): Array[Array[Double]] =
     splitHalves(spark, scn, papers, authorships, cfg)
-      .groupBy(_.vid.split("/s").head)
+      .groupBy(_.vid.dropRight(3))
       .valuesIterator
       .collect { case Array(a, b) => Similarity.gamma(a, b, stats) }
       .toArray

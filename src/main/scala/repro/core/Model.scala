@@ -6,8 +6,10 @@ import org.apache.spark.sql.DataFrame
   *
   * Vertex ids are strings: `"<name>#c<k>"` for the k-th SCR component of a
   * name, `"<name>#p<pid>"` for a singleton (one isolated vertex per
-  * (name, paper) occurrence — see DESIGN.md §5.11). Synthetic names never
-  * contain `#`, which keeps the ids self-describing and deterministic.
+  * (name, paper) occurrence — see DESIGN.md §5.11). Stage I spells them only
+  * in `ScnBuilder.vidOfComp` / `vidOfSingleton` and never parses them;
+  * `WlKernel` labels a vertex by the part of its id before the first `#`,
+  * which is its name as long as names contain no `#`.
   */
 object Model {
 
@@ -19,13 +21,11 @@ object Model {
     * @param vertices     (vid, name)
     * @param edges        (src, dst) instance-level SCR edges
     * @param vertexPapers (vid, name, pid)
-    * @param neighborComp (name, nbr, comp) SCR-partner → component map
     */
   final case class Scn(
       vertices: DataFrame,
       edges: DataFrame,
       vertexPapers: DataFrame,
-      neighborComp: DataFrame,
   )
 
   /** Everything the six similarity functions need about one vertex: an SCN

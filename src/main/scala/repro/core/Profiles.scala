@@ -87,9 +87,12 @@ object Profiles {
   /** Merge several profiles into one (used when GCN clusters vertices and in
     * the incremental judge). WL maps are summed — an approximation of the
     * merged vertex's ego features, adequate because γ1 is normalised.
+    * Members are taken in vid order: γ3 sums word vectors in `wordYears`
+    * order, which must not depend on the order the members arrive in.
     */
-  def merge(vid: String, ps: Seq[VertexProfile]): VertexProfile = {
-    require(ps.nonEmpty, "merge of zero profiles")
+  def merge(vid: String, members: Seq[VertexProfile]): VertexProfile = {
+    require(members.nonEmpty, "merge of zero profiles")
+    val ps = members.sortBy(_.vid)
     val wl = ps.foldLeft(Map.empty[String, Int]) { (acc, p) =>
       p.wl.foldLeft(acc) { case (a, (k, c)) => a.updated(k, a.getOrElse(k, 0) + c) }
     }

@@ -1,7 +1,8 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
+import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
+import org.apache.spark.unsafe.types.UTF8String
 import repro.util.{Stage, UnionFind}
 import Model._
 
@@ -11,110 +12,84 @@ import Model._
   * partitioning a's SCR partners into connected components of the graph whose
   * edges are SCRs *among those partners* (each such edge closes a stable
   * triangle with `a`). Two partners in one component collapse into the same
-  * vertex instance of `a`; each component is one SCN vertex. That
-  * reformulation is what we compute here — it is embarrassingly parallel per
-  * name (`groupByKey(name)` + a driver-light union-find per group), unlike
-  * the paper's sequential insertion, and provably yields the same partition
-  * because union is order-independent.
+  * vertex instance of `a`; each component is one SCN vertex. Union is
+  * order-independent, so this yields the paper's partition. There is one SCN
+  * edge per SCR, and SCRs are few, so [[graph]] builds the instance level on
+  * the driver from the collected SCRs.
   *
   * Papers whose co-author list contains an SCR pair (a, b) attach to the
   * instance of `a` whose component contains `b` (ties across several partners
   * resolved by highest SCR count, then name). Every remaining (name, paper)
   * occurrence becomes its own singleton vertex — the bottom-up assumption
-  * that same-name authors are different until proven identical.
+  * that same-name authors are different until proven identical. [[build]]
+  * assigns every occurrence in one pass over each paper's author names.
   */
 object ScnBuilder {
 
   def vidOfComp(name: String, comp: Int): String = s"$name#c$comp"
   def vidOfSingleton(name: String, pid: Long): String = s"$name#p$pid"
 
-  /** Per-name SCR-partner components. Output: one row per (name, partner). */
-  def neighborComponents(spark: SparkSession, scrs: DataFrame): Dataset[NeighborComp] = {
-    import spark.implicits._
-    val scrDs = scrs.select($"a", $"b").as[(String, String)]
-    val neighbors: Dataset[(String, String)] =
-      scrDs.flatMap { case (a, b) => Seq((a, b), (b, a)) }
-    val tris = Scr.triangles(scrs).as[(String, String, String)]
-    // Triangle (x,y,z) contributes the neighbour-graph edge (y,z) to x, etc.
-    val triEdges: Dataset[(String, String, String)] =
-      tris.flatMap { case (x, y, z) => Seq((x, y, z), (y, x, z), (z, x, y)) }
-
-    neighbors
-      .groupByKey(_._1)
-      .cogroup(triEdges.groupByKey(_._1)) { (name, nbrIt, triIt) =>
-        val uf = new UnionFind[String]
-        nbrIt.foreach { case (_, nbr) => uf.add(nbr) }
-        triIt.foreach { case (_, n1, n2) => uf.union(n1, n2) }
-        // Canonical component index: order components by their min member so
-        // ids are stable across partitionings.
-        val comps = uf.groups().map(_.sorted).sortBy(_.head).zipWithIndex
-        comps.iterator.flatMap { case (members, idx) =>
-          members.map(nbr => NeighborComp(name, nbr, idx))
-        }
-      }
-  }
-
-  /** Instance-level SCN edges: SCR (a,b) links a's component containing b to
-    * b's component containing a.
+  /** The SCN's instance level.
+    *
+    * @param comps one row per (name, SCR partner): the partner's component
+    * @param edges (src, dst) instance vids, one edge per SCR
     */
-  def instanceEdges(scrs: DataFrame, neighborComp: DataFrame): DataFrame = {
-    val ncA = neighborComp.select(col("name").as("a"), col("nbr").as("b"), col("comp").as("compA"))
-    val ncB = neighborComp.select(col("name").as("b2"), col("nbr").as("a2"), col("comp").as("compB"))
-    scrs
-      .join(ncA, Seq("a", "b"))
-      .join(ncB, col("b") === col("b2") && col("a") === col("a2"))
-      .select(
-        concat(col("a"), lit("#c"), col("compA")).as("src"),
-        concat(col("b"), lit("#c"), col("compB")).as("dst"),
-      )
+  final case class Graph(comps: Seq[NeighborComp], edges: Seq[(String, String)])
+
+  /** Instance graph of the SCRs `(a, b, cnt)`. Component k of a name is the
+    * k-th by smallest member, so ids do not depend on the order of `scrs`;
+    * a pair counts as an SCR whichever way round it is given.
+    */
+  def graph(scrs: Seq[(String, String, Long)]): Graph = {
+    val isScr = scrs.flatMap { case (a, b, _) => Seq((a, b), (b, a)) }.toSet
+    val comps = isScr.groupMap(_._1)(_._2).toSeq.flatMap { case (name, partners) =>
+      val ps = partners.toIndexedSeq
+      val uf = new UnionFind[String]
+      ps.foreach(uf.add)
+      for (i <- ps.indices; j <- (i + 1) until ps.size if isScr((ps(i), ps(j)))) uf.union(ps(i), ps(j))
+      uf.groups().map(_.sorted).sortBy(_.head).zipWithIndex.flatMap { case (members, k) =>
+        members.map(NeighborComp(name, _, k))
+      }
+    }
+    val compOf = comps.map(c => (c.name, c.nbr) -> c.comp).toMap
+    Graph(comps, scrs.map { case (a, b, _) => (vidOfComp(a, compOf((a, b))), vidOfComp(b, compOf((b, a)))) })
   }
+
+  /** Strongest SCR partner last: by count, then by name in Spark's
+    * (code-point) string order.
+    */
+  private val byStrength: Ordering[(Long, String, Int)] =
+    Ordering.by(m => (m._1, UTF8String.fromString(m._2)))
 
   /** Full SCN from the paper database. */
   def build(spark: SparkSession, authorships: DataFrame, eta: Int): Scn = {
-    val occ = Stage.materialise(authorships.select("pid", "name").distinct())
-    val scrs = Stage.materialise(Scr.mine(authorships, eta))
-    val nc = Stage.materialise(neighborComponents(spark, scrs).toDF())
-    val edges = instanceEdges(scrs, nc)
+    import spark.implicits._
+    val scrs = Scr.mine(authorships, eta).as[(String, String, Long)].collect().toSeq
+    val g = graph(scrs)
+    val cnt = scrs.flatMap { case (a, b, c) => Seq((a, b) -> c, (b, a) -> c) }.toMap
+    // name → SCR partner → (count, component of the partner).
+    val mates = spark.sparkContext.broadcast(
+      g.comps.groupBy(_.name).map { case (name, cs) => name -> cs.map(c => c.nbr -> (cnt((name, c.nbr)), c.comp)).toMap })
 
-    // SCR name pairs present inside each paper's co-author list.
-    val l = occ.as("l"); val r = occ.as("r")
-    val pairsInPaper = l
-      .join(r, col("l.pid") === col("r.pid") && col("l.name") < col("r.name"))
-      .select(col("l.pid").as("pid"), col("l.name").as("a"), col("r.name").as("b"))
-      .join(scrs, Seq("a", "b"))
+    val vertexPapers = Stage.materialise(
+      authorships
+        .groupBy("pid")
+        .agg(collect_set("name").as("names"))
+        .as[(Long, Seq[String])]
+        .flatMap { case (pid, names) =>
+          names.map { name =>
+            val m = mates.value.getOrElse(name, Map.empty[String, (Long, Int)])
+            val onPaper = names.flatMap(p => m.get(p).map { case (c, k) => (c, p, k) })
+            val vid =
+              if (onPaper.isEmpty) vidOfSingleton(name, pid)
+              else vidOfComp(name, onPaper.max(byStrength)._3)
+            (vid, name, pid)
+          }
+        }
+        .toDF("vid", "name", "pid"))
+    val instances = g.comps.map(c => (vidOfComp(c.name, c.comp), c.name)).distinct.toDF("vid", "name")
+    val vertices = vertexPapers.select("vid", "name").union(instances).distinct()
 
-    // Both directions: for occurrence (pid, name), `partner` is an SCR mate
-    // present in the same paper.
-    val partnered = pairsInPaper
-      .select(col("pid"), col("a").as("name"), col("b").as("partner"), col("cnt"))
-      .union(pairsInPaper.select(col("pid"), col("b").as("name"), col("a").as("partner"), col("cnt")))
-      .join(nc.withColumnRenamed("nbr", "partner"), Seq("name", "partner"))
-
-    // One component per occurrence: the partner with the strongest SCR wins.
-    val assigned = partnered
-      .groupBy("pid", "name")
-      .agg(max(struct(col("cnt"), col("partner"), col("comp"))).as("m"))
-      .select(
-        concat(col("name"), lit("#c"), col("m.comp")).as("vid"),
-        col("name"),
-        col("pid"),
-      )
-
-    val singletons = occ
-      .join(assigned.select("pid", "name"), Seq("pid", "name"), "left_anti")
-      .select(
-        concat(col("name"), lit("#p"), col("pid")).as("vid"),
-        col("name"),
-        col("pid"),
-      )
-
-    val vertexPapers = Stage.materialise(assigned.unionByName(singletons))
-    val vertices = vertexPapers
-      .select("vid", "name")
-      .union(edges.select(col("src").as("vid"), split(col("src"), "#").getItem(0).as("name")))
-      .union(edges.select(col("dst").as("vid"), split(col("dst"), "#").getItem(0).as("name")))
-      .distinct()
-
-    Scn(vertices, edges, vertexPapers, nc)
+    Scn(vertices, g.edges.toDF("src", "dst"), vertexPapers)
   }
 }

@@ -39,17 +39,4 @@ object Scr {
     require(eta >= 1, s"support threshold must be >= 1, got $eta")
     pairCounts(authorships).where(col("cnt") >= eta)
   }
-
-  /** Stable collaborative triangles: name triples where all three pairs are
-    * η-SCRs (used for higher-order SCN merging and for γ2's clique lists).
-    * Output: (x, y, z) with x < y < z.
-    */
-  def triangles(scrs: DataFrame): DataFrame = {
-    val e1 = scrs.select(col("a").as("x"), col("b").as("y"))
-    val e2 = scrs.select(col("a").as("y2"), col("b").as("z"))
-    val e3 = scrs.select(col("a").as("x3"), col("b").as("z3"))
-    e1.join(e2, col("y") === col("y2"))
-      .join(e3, col("x") === col("x3") && col("z") === col("z3"))
-      .select(col("x"), col("y"), col("z"))
-  }
 }

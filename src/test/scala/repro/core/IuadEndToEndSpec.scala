@@ -98,6 +98,16 @@ class IuadEndToEndSpec extends SparkSpec {
     }
   }
 
+  test("names containing /s keep every split pair") {
+    val splitCfg = Iuad.Config(eta = 3, seed = 7L, splitMaxVertices = Int.MaxValue)
+    val renamed = authDf.withColumn("name", concat(lit("x/s"), col("name")))
+    val renamedScn = ScnBuilder.build(spark, renamed, splitCfg.eta)
+    val n = Iuad.splitVertexPairs(spark, result.scn, papersDf, authDf, result.stats, splitCfg).length
+    val nRenamed = Iuad.splitVertexPairs(spark, renamedScn, papersDf, renamed, result.stats, splitCfg).length
+    assert(n > 0)
+    assert(nRenamed === n)
+  }
+
   test("stage outputs are leaf plans that keep their shuffle partitioning") {
     // Nested caches embed every parent plan, so the rendered plan grows
     // exponentially with pipeline depth, not with data size.

@@ -87,6 +87,12 @@ class ProfilesSpec extends SparkSpec {
     assert(m.wl.values.sum === totalWl)
   }
 
+  test("merge does not depend on member order") {
+    val ps = profiles.collect().filter(_.wordYears.nonEmpty).sortBy(_.vid).take(3).toSeq
+    assert(ps.size === 3)
+    assert(Profiles.merge("merged", ps) === Profiles.merge("merged", ps.reverse))
+  }
+
   test("merge rejects empty input") {
     intercept[IllegalArgumentException] { Profiles.merge("x", Seq.empty) }
   }

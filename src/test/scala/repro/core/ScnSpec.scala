@@ -1,9 +1,14 @@
 package repro.core
 
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
-import repro.SparkSpec
+import org.scalacheck.Gen
+import repro.{Oracle, PropChecks, SparkSpec}
+import repro.dblp.DblpSynth
+import repro.util.UnionFind
+import Model.NeighborComp
 
-class ScnSpec extends SparkSpec {
+class ScnSpec extends SparkSpec with PropChecks {
   import spark.implicits._
 
   /** The running example of Fig. 4: 2-SCRs (a,b),(a,c),(a,d),(b,e),(c,d),(b,c).
@@ -25,9 +30,11 @@ class ScnSpec extends SparkSpec {
       .toDF("pid", "name")
   }
 
+  private def graphOf(authorships: DataFrame, eta: Int): ScnBuilder.Graph =
+    ScnBuilder.graph(Scr.mine(authorships, eta).as[(String, String, Long)].collect().toSeq)
+
   test("Fig 4: neighbour components follow the triangle rule") {
-    val scrs = Scr.mine(fig4Authorships, 2)
-    val nc = ScnBuilder.neighborComponents(spark, scrs).collect()
+    val nc = graphOf(fig4Authorships, 2).comps
     // For name a: neighbours b, c, d. Triangles (a,b,c) and (a,c,d) connect
     // them all into a single component.
     val aComps = nc.filter(_.name == "a").map(_.comp).distinct
@@ -103,15 +110,14 @@ class ScnSpec extends SparkSpec {
       .flatMap { case (names, pid) => names.map(n => (pid.toLong, n)) }
       .toDF("pid", "name")
     val scn = ScnBuilder.build(spark, a, 2)
-    val nc = scn.neighborComp.as[(String, String, Int)].collect()
-    val yComp = nc.find(r => r._1 == "x" && r._2 == "y").get._3
+    val yComp = graphOf(a, 2).comps.find(c => c.name == "x" && c.nbr == "y").get.comp
     val vp = scn.vertexPapers.as[(String, String, Long)].collect()
     val mixed = vp.find(r => r._3 == 5L && r._2 == "x").get
     assert(mixed._1 === s"x#c$yComp")
   }
 
   test("SCN on synthetic corpus: occurrences preserved and vertices typed") {
-    val (_, auth) = repro.dblp.DblpSynth.generate(spark, repro.dblp.DblpSynth.Config(sf = 0.002, seed = 3L))
+    val (_, auth) = DblpSynth.generate(spark, DblpSynth.Config(sf = 0.002, seed = 3L))
     val scn = ScnBuilder.build(spark, auth, 3)
     assert(scn.vertexPapers.count() === auth.select("pid", "name").distinct().count())
     val vids = scn.vertices.select("vid").as[String].collect()
@@ -119,12 +125,97 @@ class ScnSpec extends SparkSpec {
   }
 
   test("SCN stage alone is high precision on the synthetic corpus") {
-    val (_, auth) = repro.dblp.DblpSynth.generate(spark, repro.dblp.DblpSynth.Config(sf = 0.004, seed = 42L))
+    val (_, auth) = DblpSynth.generate(spark, DblpSynth.Config(sf = 0.004, seed = 42L))
     val scn = ScnBuilder.build(spark, auth, 3)
     val assignment = scn.vertexPapers.select(col("pid"), col("name"), col("vid").as("cluster"))
     val evalNames = Evaluation.ambiguousNames(auth)
     val m = Evaluation.pairwiseMicro(spark, assignment, auth, Some(evalNames))
     assert(m.precision > 0.8, s"SCN precision too low: $m")
     assert(m.recall < m.precision, s"SCN should favour precision: $m")
+  }
+
+  /** The triangle formulation of [[ScnBuilder.graph]]: SCR triangle (x, y, z)
+    * joins y and z in a component of x, x and z in one of y, x and y in one
+    * of z; SCR (a, b) links a's component holding b to b's holding a.
+    */
+  private def viaTriangles(scrs: Seq[(String, String, Long)]): ScnBuilder.Graph = {
+    val tris = ScrSpec.triangles(scrs.toDF("a", "b", "cnt")).as[(String, String, String)].collect()
+    val ufs = scrs.flatMap { case (a, b, _) => Seq(a -> b, b -> a) }.groupMap(_._1)(_._2).map { case (name, ps) =>
+      val uf = new UnionFind[String]
+      ps.foreach(uf.add)
+      name -> uf
+    }
+    tris.foreach { case (x, y, z) => ufs(x).union(y, z); ufs(y).union(x, z); ufs(z).union(x, y) }
+    val comps = ufs.toSeq.flatMap { case (name, uf) =>
+      uf.groups().map(_.sorted).sortBy(_.head).zipWithIndex.flatMap { case (ms, k) => ms.map(NeighborComp(name, _, k)) }
+    }
+    val compOf = comps.map(c => (c.name, c.nbr) -> c.comp).toMap
+    ScnBuilder.Graph(comps, scrs.map { case (a, b, _) => (s"$a#c${compOf((a, b))}", s"$b#c${compOf((b, a))}") })
+  }
+
+  test("graph equals the triangle formulation on random SCR sets") {
+    val names = "abcdefgh".map(_.toString)
+    val scrSets = Gen.listOf(Gen.zip(Gen.oneOf(names), Gen.oneOf(names), Gen.choose(2L, 5L))).map { ps =>
+      ps.collect { case (a, b, c) if a < b => (a, b, c) }.distinctBy(p => (p._1, p._2))
+    }
+    forAll(scrSets, samples = 25) { scrs =>
+      val got = ScnBuilder.graph(scrs)
+      val want = viaTriangles(scrs)
+      assert(got.comps.toSet === want.comps.toSet, scrs)
+      assert(got.comps.size === want.comps.size, scrs)
+      assert(got.edges === want.edges, scrs)
+    }
+  }
+
+  test("graph reads an SCR whichever way round it is given") {
+    val scrs = Seq(("a", "b", 3L), ("a", "c", 3L), ("b", "c", 3L), ("b", "e", 3L))
+    val flipped = scrs.map { case (a, b, c) => (b, a, c) }
+    assert(ScnBuilder.graph(flipped).comps.toSet === ScnBuilder.graph(scrs).comps.toSet)
+  }
+
+  test("oracle: vertexPapers match DuckDB's strongest-partner ranking") {
+    val (_, auth) = DblpSynth.generate(spark, DblpSynth.Config(sf = 0.002, seed = 11L))
+    val eta = 2
+    val scrs = Scr.mine(auth, eta)
+    val nc = graphOf(auth, eta).comps.toDF()
+    Oracle.assertEquivalent(
+      ScnBuilder.build(spark, auth, eta).vertexPapers.select("vid", "name", "pid"),
+      """WITH mate AS (
+        |  SELECT a AS name, b AS partner, CAST(cnt AS BIGINT) AS cnt FROM scr
+        |  UNION ALL SELECT b, a, CAST(cnt AS BIGINT) FROM scr),
+        |ranked AS (
+        |  SELECT o.pid, o.name, nc.comp,
+        |         ROW_NUMBER() OVER (PARTITION BY o.pid, o.name ORDER BY m.cnt DESC, m.partner DESC) AS rk
+        |  FROM occ o
+        |  JOIN occ r ON r.pid = o.pid
+        |  JOIN mate m ON m.name = o.name AND m.partner = r.name
+        |  JOIN nc ON nc.name = o.name AND nc.nbr = m.partner)
+        |SELECT o.name || CASE WHEN k.comp IS NULL THEN '#p' || o.pid ELSE '#c' || k.comp END AS vid,
+        |       o.name AS name, o.pid AS pid
+        |FROM occ o LEFT JOIN ranked k ON k.pid = o.pid AND k.name = o.name AND k.rk = 1""".stripMargin,
+      "occ" -> auth.select("pid", "name").distinct(),
+      "scr" -> scrs,
+      "nc" -> nc,
+    )
+  }
+
+  test("SCN does not depend on shuffle partitions or input row order") {
+    val (_, auth) = DblpSynth.generate(spark, DblpSynth.Config(sf = 0.002, seed = 5L))
+    def sorted(df: DataFrame): Seq[String] = df.collect().map(_.toString).toSeq.sorted
+    def scnRows(a: DataFrame): Seq[Seq[String]] = {
+      val scn = ScnBuilder.build(spark, a, 2)
+      Seq(sorted(scn.vertexPapers), sorted(scn.vertices), sorted(scn.edges))
+    }
+    val key = "spark.sql.shuffle.partitions"
+    val before = spark.conf.get(key)
+    try {
+      spark.conf.set(key, "1")
+      val one = scnRows(auth)
+      spark.conf.set(key, "8")
+      val rows = new scala.util.Random(7L).shuffle(auth.collect().toSeq)
+      val shuffled = spark.createDataFrame(java.util.Arrays.asList(rows: _*), auth.schema).repartition(5)
+      assert(scnRows(shuffled) === one)
+      assert(one.head.exists(_.contains("#c")))
+    } finally spark.conf.set(key, before)
   }
 }

@@ -43,13 +43,13 @@ class ScrSpec extends SparkSpec {
   test("triangles found when all three pairs are SCRs") {
     val scrs = Seq(("a", "b", 3L), ("a", "c", 3L), ("b", "c", 3L), ("a", "d", 3L))
       .toDF("a", "b", "cnt")
-    val got = Scr.triangles(scrs).as[(String, String, String)].collect().toSet
+    val got = ScrSpec.triangles(scrs).as[(String, String, String)].collect().toSet
     assert(got === Set(("a", "b", "c")))
   }
 
   test("no triangle when one side is missing") {
     val scrs = Seq(("a", "b", 3L), ("a", "c", 3L)).toDF("a", "b", "cnt")
-    assert(Scr.triangles(scrs).count() === 0L)
+    assert(ScrSpec.triangles(scrs).count() === 0L)
   }
 
   test("oracle: pair counts match DuckDB self-join") {
@@ -88,6 +88,20 @@ class ScrSpec extends SparkSpec {
 }
 
 object ScrSpec {
+
+  /** Stable collaborative triangles: name triples where all three pairs are
+    * η-SCRs, as a 3-way self-join of `scrs` (a, b) with a < b. The reference
+    * formulation of the SCN's partner components (`ScnSpec`).
+    * Output: (x, y, z) with x < y < z.
+    */
+  def triangles(scrs: DataFrame): DataFrame = {
+    val e1 = scrs.select(col("a").as("x"), col("b").as("y"))
+    val e2 = scrs.select(col("a").as("y2"), col("b").as("z"))
+    val e3 = scrs.select(col("a").as("x3"), col("b").as("z3"))
+    e1.join(e2, col("y") === col("y2"))
+      .join(e3, col("x") === col("x3") && col("z") === col("z3"))
+      .select(col("x"), col("y"), col("z"))
+  }
 
   /** Reference implementation through Spark MLlib's FP-growth, kept for the
     * equivalence test — production code uses [[Scr.mine]] (exact and cheaper for
