@@ -59,13 +59,16 @@ object Incremental {
       .groupByKey(_.name)
       .cogroup(gcnClusters.groupByKey(_.name)) { (name, newIt, clustIt) =>
         val clusters = clustIt.toArray
+        // Built only for names with a new occurrence, once per cluster.
+        lazy val clusterFacts = clusters.map(Similarity.Facts(_))
         newIt.map { np =>
           val t0 = System.nanoTime()
+          val facts = Similarity.Facts(np)
           var bestCluster: String = np.vid
           var bestScore = Double.NegativeInfinity
           var i = 0
           while (i < clusters.length) {
-            val s = bModel.value.score(Similarity.gamma(np, clusters(i), bStats.value).toSeq)
+            val s = bModel.value.score(Similarity.gamma(facts, clusterFacts(i), bStats.value).toSeq)
             if (s > bestScore || (s == bestScore && clusters(i).vid < bestCluster)) {
               bestScore = s; bestCluster = clusters(i).vid
             }

@@ -34,7 +34,7 @@ object Iuad {
 
   final case class Result(
       scn: Scn,
-      profiles: Dataset[VertexProfile],
+      profiles: Dataset[VertexProfile], // not cached: each read runs the fold
       stats: Similarity.GlobalStats,
       pairs: Dataset[PairGamma],
       model: Em.EmModel,
@@ -58,10 +58,11 @@ object Iuad {
       cfg: Config,
   ): Array[VertexProfile] = {
     import spark.implicits._
+    // vertexPapers has one row per (vid, pid), so a vertex's rows are its papers.
     val chosen = scn.vertexPapers
       .groupBy("vid")
-      .agg(countDistinct("pid").as("n"))
-      .where(col("n") >= cfg.splitMinPapers)
+      .count()
+      .where(col("count") >= cfg.splitMinPapers)
       .orderBy(abs(hash(col("vid"), lit(cfg.seed))), col("vid"))
       .limit(cfg.splitMaxVertices)
       .select("vid")
@@ -93,7 +94,7 @@ object Iuad {
     splitHalves(spark, scn, papers, authorships, cfg)
       .groupBy(_.vid.dropRight(3))
       .valuesIterator
-      .collect { case Array(a, b) => Similarity.gamma(a, b, stats) }
+      .collect { case Array(a, b) => Similarity.gamma(Similarity.Facts(a), Similarity.Facts(b), stats) }
       .toArray
 
   def run(spark: SparkSession, papers: DataFrame, authorships: DataFrame, cfg: Config = Config()): Result = {
@@ -103,9 +104,10 @@ object Iuad {
     val scn = ScnBuilder.build(spark, authorships, cfg.eta)
     val scnAssignment = scn.vertexPapers.select(col("pid"), col("name"), col("vid").as("cluster"))
 
-    // Stage II — profiles, similarities.
+    // Stage II — profiles, similarities. The pairs pass is the only reader of
+    // `profiles` here, so only its output is cached.
     val stats = Similarity.globalStats(spark, papers)
-    val profiles = Stage.materialise(Profiles.build(spark, scn, papers, authorships, cfg.wlIters))
+    val profiles = Profiles.build(spark, scn, papers, authorships, cfg.wlIters)
     val pairs = Stage.materialise(Similarity.candidatePairs(spark, profiles, stats))
 
     // Training sample (10 %) + split-vertex matched pairs.

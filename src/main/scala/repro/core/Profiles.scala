@@ -37,10 +37,8 @@ object Profiles {
   ): Dataset[VertexProfile] = {
     import spark.implicits._
     val namesOnPaper = authorships
-      .select("pid", "name")
-      .distinct()
       .groupBy("pid")
-      .agg(collect_list("name").as("names"))
+      .agg(collect_set("name").as("names"))
     vertexPapers
       .join(papers, Seq("pid"))
       .join(namesOnPaper, Seq("pid"))
@@ -53,7 +51,7 @@ object Profiles {
         val rows = it.toArray.sortBy(_._3)
         val name = rows.head._2
         val cliques = rows.flatMap { row =>
-          val cs = row._7.filterNot(_ == name).distinct.sorted
+          val cs = row._7.filterNot(_ == name).sorted
           for (i <- cs.indices; j <- (i + 1) until cs.size) yield encodeClique(cs(i), cs(j))
         }.distinct.toSeq.sorted
         VertexProfile(

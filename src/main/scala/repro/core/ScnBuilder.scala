@@ -87,8 +87,15 @@ object ScnBuilder {
           }
         }
         .toDF("vid", "name", "pid"))
-    val instances = g.comps.map(c => (vidOfComp(c.name, c.comp), c.name)).distinct.toDF("vid", "name")
-    val vertices = vertexPapers.select("vid", "name").union(instances).distinct()
+    // Every vid of vertexPapers is an instance or a singleton, and a
+    // singleton has one paper: singleton rows plus instances are duplicate-free.
+    val instances = g.comps.map(c => (vidOfComp(c.name, c.comp), c.name)).distinct
+    val instanceVids = spark.sparkContext.broadcast(instances.map(_._1).toSet)
+    val isSingleton = udf((vid: String) => !instanceVids.value.contains(vid))
+    val vertices = vertexPapers
+      .where(isSingleton(col("vid")))
+      .select("vid", "name")
+      .union(instances.toDF("vid", "name"))
 
     Scn(vertices, g.edges.toDF("src", "dst"), vertexPapers)
   }

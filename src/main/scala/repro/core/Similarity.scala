@@ -31,67 +31,94 @@ object Similarity {
       alpha: Double = 0.62,
   )
 
-  /** Compute FB(b) and FH(h) from the papers table (oracle-checked). */
+  /** Compute FB(b) and FH(h) from the papers table in one aggregation over
+    * tagged (kind, key) rows: one per title word ("w") and one per paper's
+    * venue ("v").
+    */
   def globalStats(spark: SparkSession, papers: DataFrame, alpha: Double = 0.62): GlobalStats = {
     import spark.implicits._
-    val wf = papers
-      .select(explode(col("title")).as("w"))
-      .groupBy("w")
+    val counts = papers
+      .select(lit("w").as("kind"), explode(col("title")).as("key"))
+      .union(papers.select(lit("v").as("kind"), col("venue").as("key")))
+      .groupBy("kind", "key")
       .agg(count(lit(1)).as("f"))
-      .as[(String, Long)]
+      .as[(String, String, Long)]
       .collect()
-      .toMap
-    val vf = papers
-      .groupBy(col("venue"))
-      .agg(count(lit(1)).as("f"))
-      .as[(String, Long)]
-      .collect()
-      .toMap
-    GlobalStats(wf, vf, alpha)
+    def freq(kind: String): Map[String, Long] = counts.collect { case (`kind`, key, f) => key -> f }.toMap
+    GlobalStats(freq("w"), freq("v"), alpha)
   }
 
   private def safeLogInv(f: Long): Double = 1.0 / math.log(math.max(f, 2L).toDouble)
 
-  private def tau(pi: VertexProfile, pj: VertexProfile): Double =
-    math.max(1, math.min(pi.nPapers, pj.nPapers)).toDouble
+  /** What γ reads of one vertex, built once per vertex: a name with k
+    * vertices scores each of them against k−1 others.
+    *
+    * @param wlSelf      self-kernel of `wl`, the vertex's factor in Eq. 4's normaliser
+    * @param center      mean vector of the distinct keywords (γ3); None without keywords
+    * @param wordYears   keyword → the years of the papers containing it (γ4)
+    * @param repVenue    most frequent venue, ties to the lexicographic min (γ5)
+    * @param venueCounts venue → number of the vertex's papers there (γ5)
+    * @param nVenues     number of venue entries, one per paper (γ5)
+    * @param venues      the distinct venues (γ6)
+    */
+  final case class Facts(
+      wl: Map[String, Int],
+      wlSelf: Double,
+      cliques: Set[String],
+      center: Option[Array[Double]],
+      wordYears: Map[String, Seq[Int]],
+      repVenue: Option[String],
+      venueCounts: Map[String, Int],
+      nVenues: Int,
+      venues: Set[String],
+      nPapers: Int,
+  )
+
+  object Facts {
+    def apply(p: VertexProfile): Facts = {
+      val words = p.wordYears.map(_._1).distinct
+      val venueCounts = p.venues.groupBy(identity).map { case (v, vs) => (v, vs.size) }
+      Facts(
+        wl = p.wl,
+        wlSelf = WlKernel.kernel(p.wl, p.wl),
+        cliques = p.cliques.toSet,
+        center = if (words.isEmpty) None else Some(VectorOps.mean(words.map(w => WordVectors.vector(w)))),
+        wordYears = p.wordYears.groupBy(_._1).view.mapValues(_.map(_._2)).toMap,
+        repVenue = venueCounts.minByOption { case (v, c) => (-c, v) }.map(_._1),
+        venueCounts = venueCounts,
+        nVenues = p.venues.size,
+        venues = p.venues.toSet,
+        nPapers = p.nPapers,
+      )
+    }
+  }
+
+  private def tau(fi: Facts, fj: Facts): Double =
+    math.max(1, math.min(fi.nPapers, fj.nPapers)).toDouble
 
   /** γ2: shared co-author cliques (triangles), scaled by 1/τ. */
-  def cliqueCoincidence(pi: VertexProfile, pj: VertexProfile): Double = {
-    val common = pi.cliques.toSet.intersect(pj.cliques.toSet).size
-    common / tau(pi, pj)
-  }
+  def cliqueCoincidence(fi: Facts, fj: Facts): Double =
+    fi.cliques.intersect(fj.cliques).size / tau(fi, fj)
 
   /** γ3: cosine of mean keyword vectors, clamped at 0 so every feature is
     * non-negative (a negative cosine means "opposite interests" and carries
     * the same decision weight as orthogonality here).
     */
-  def interestCosine(pi: VertexProfile, pj: VertexProfile): Double = {
-    def center(p: VertexProfile): Option[Array[Double]] = {
-      val ws = p.wordYears.map(_._1).distinct
-      if (ws.isEmpty) None else Some(VectorOps.mean(ws.map(w => WordVectors.vector(w))))
-    }
-    (center(pi), center(pj)) match {
+  def interestCosine(fi: Facts, fj: Facts): Double =
+    (fi.center, fj.center) match {
       case (Some(a), Some(b)) => math.max(0.0, VectorOps.cosine(a, b))
       case _                  => 0.0
     }
-  }
 
   /** γ4: time-consistent use of rare keywords. */
-  def timeConsistency(pi: VertexProfile, pj: VertexProfile, stats: GlobalStats): Double = {
-    val yi = pi.wordYears.groupBy(_._1).view.mapValues(_.map(_._2)).toMap
-    val yj = pj.wordYears.groupBy(_._1).view.mapValues(_.map(_._2)).toMap
-    val common = yi.keySet.intersect(yj.keySet)
+  def timeConsistency(fi: Facts, fj: Facts, stats: GlobalStats): Double = {
+    val common = fi.wordYears.keySet.intersect(fj.wordYears.keySet)
     val s = common.iterator.map { b =>
-      val minDiff = (for (a <- yi(b); c <- yj(b)) yield math.abs(a - c)).min
+      val minDiff = (for (a <- fi.wordYears(b); c <- fj.wordYears(b)) yield math.abs(a - c)).min
       math.exp(-stats.alpha * minDiff) * safeLogInv(stats.wordFreq.getOrElse(b, 1L))
     }.sum
-    s / tau(pi, pj)
+    s / tau(fi, fj)
   }
-
-  /** Most frequent venue (ties: lexicographic min, so it is deterministic). */
-  def representativeVenue(p: VertexProfile): Option[String] =
-    if (p.venues.isEmpty) None
-    else Some(p.venues.groupBy(identity).map { case (v, vs) => (v, vs.size) }.toSeq.sortBy { case (v, c) => (-c, v) }.head._1)
 
   /** γ5: cross *fractions* of each other's representative venue, in [0, 2].
     *
@@ -103,39 +130,37 @@ object Similarity {
     * multiset size keeps Eq. 8's intent — mutual concentration in the other
     * side's representative venue — scale-free. See DESIGN.md §5.
     */
-  def representativeCommunity(pi: VertexProfile, pj: VertexProfile): Double = {
-    (representativeVenue(pi), representativeVenue(pj)) match {
+  def representativeCommunity(fi: Facts, fj: Facts): Double =
+    (fi.repVenue, fj.repVenue) match {
       case (Some(hi), Some(hj)) =>
-        val fracJ = pj.venues.count(_ == hi).toDouble / pj.venues.size
-        val fracI = pi.venues.count(_ == hj).toDouble / pi.venues.size
+        val fracJ = fj.venueCounts.getOrElse(hi, 0).toDouble / fj.nVenues
+        val fracI = fi.venueCounts.getOrElse(hj, 0).toDouble / fi.nVenues
         fracJ + fracI
       case _ => 0.0
     }
-  }
 
   /** γ6: Adamic/Adar over shared venues. */
-  def researchCommunity(pi: VertexProfile, pj: VertexProfile, stats: GlobalStats): Double = {
-    val common = pi.venues.toSet.intersect(pj.venues.toSet)
-    common.iterator.map(h => safeLogInv(stats.venueFreq.getOrElse(h, 1L))).sum / tau(pi, pj)
-  }
+  def researchCommunity(fi: Facts, fj: Facts, stats: GlobalStats): Double =
+    fi.venues.intersect(fj.venues).iterator.map(h => safeLogInv(stats.venueFreq.getOrElse(h, 1L))).sum / tau(fi, fj)
 
   /** Full 6-dim similarity vector (γ1..γ6). */
-  def gamma(pi: VertexProfile, pj: VertexProfile, stats: GlobalStats): Array[Double] =
+  def gamma(fi: Facts, fj: Facts, stats: GlobalStats): Array[Double] =
     Array(
-      WlKernel.normalized(pi.wl, pj.wl),
-      cliqueCoincidence(pi, pj),
-      interestCosine(pi, pj),
-      timeConsistency(pi, pj, stats),
-      representativeCommunity(pi, pj),
-      researchCommunity(pi, pj, stats),
+      WlKernel.normalized(fi.wl, fi.wlSelf, fj.wl, fj.wlSelf),
+      cliqueCoincidence(fi, fj),
+      interestCosine(fi, fj),
+      timeConsistency(fi, fj, stats),
+      representativeCommunity(fi, fj),
+      researchCommunity(fi, fj, stats),
     )
 
   /** All candidate same-name vertex pairs with similarity vectors, computed
-    * per name group ("per partition"). A name with more than `maxPerName`
-    * (default 3,000) vertices keeps only its `maxPerName` most prolific ones,
-    * to bound the quadratic blow-up. The truncation is silent today: nothing
-    * records which names lost vertices or how many pairs were dropped.
-    * ROADMAP item 3 replaces it with exact pruning or a count in the trace.
+    * per name group ("per partition"), with each vertex's [[Facts]] built
+    * once. A name with more than `maxPerName` (default 3,000) vertices keeps
+    * only its `maxPerName` most prolific ones, to bound the quadratic
+    * blow-up. The truncation is silent today: nothing records which names
+    * lost vertices or how many pairs were dropped. ROADMAP item 1 counts it
+    * in the diagnostics and item 6 replaces it with exact pruning.
     */
   def candidatePairs(
       spark: SparkSession,
@@ -152,12 +177,13 @@ object Similarity {
         val vs =
           if (all.length <= maxPerName) all.sortBy(_.vid)
           else all.sortBy(p => (-p.nPapers, p.vid)).take(maxPerName).sortBy(_.vid)
+        val fs = vs.map(Facts(_))
         val out = scala.collection.mutable.ArrayBuffer.empty[PairGamma]
         var i = 0
         while (i < vs.length) {
           var j = i + 1
           while (j < vs.length) {
-            out += PairGamma(name, vs(i).vid, vs(j).vid, gamma(vs(i), vs(j), bStats.value).toSeq)
+            out += PairGamma(name, vs(i).vid, vs(j).vid, gamma(fs(i), fs(j), bStats.value).toSeq)
             j += 1
           }
           i += 1

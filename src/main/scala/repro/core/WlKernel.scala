@@ -60,8 +60,12 @@ object WlKernel {
   }
 
   /** Normalised kernel (Eq. 4); 0 when either self-kernel degenerates. */
-  def normalized(f1: Map[String, Int], f2: Map[String, Int]): Double = {
-    val k11 = kernel(f1, f1); val k22 = kernel(f2, f2)
+  def normalized(f1: Map[String, Int], f2: Map[String, Int]): Double =
+    normalized(f1, kernel(f1, f1), f2, kernel(f2, f2))
+
+  /** Eq. 4 with the self-kernels `k11 = kernel(f1, f1)` and
+    * `k22 = kernel(f2, f2)` already computed.
+    */
+  def normalized(f1: Map[String, Int], k11: Double, f2: Map[String, Int], k22: Double): Double =
     if (k11 <= 0.0 || k22 <= 0.0) 0.0 else kernel(f1, f2) / math.sqrt(k11 * k22)
-  }
 }

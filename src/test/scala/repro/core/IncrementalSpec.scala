@@ -111,8 +111,8 @@ class IncrementalSpec extends SparkSpec {
     judged.foreach { row =>
       val pid = row.getLong(0); val name = row.getString(1); val cluster = row.getString(2)
       byName.get(name).foreach { cands =>
-        val np = baseline((pid, name))
-        val scores = cands.map(c => c.vid -> result.model.score(Similarity.gamma(np, c, result.stats).toSeq)).toMap
+        val np = Similarity.Facts(baseline((pid, name)))
+        val scores = cands.map(c => c.vid -> result.model.score(Similarity.gamma(np, Similarity.Facts(c), result.stats).toSeq)).toMap
         if (!cluster.contains("#new")) {
           val best = scores.values.max
           assert(math.abs(scores(cluster) - best) < 1e-9, s"$pid/$name not argmax")

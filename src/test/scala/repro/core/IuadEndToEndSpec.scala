@@ -118,6 +118,14 @@ class IuadEndToEndSpec extends SparkSpec {
     assert(result.pairs.rdd.getNumPartitions === spark.conf.get("spark.sql.shuffle.partitions").toInt)
   }
 
+  test("a run caches only vertexPapers and pairs") {
+    papersDf.count(); authDf.count()
+    val before = spark.sparkContext.getPersistentRDDs.keySet.toSet
+    Iuad.run(spark, papersDf, authDf, Iuad.Config(eta = 3, seed = 7L)).assignment.count()
+    val added = spark.sparkContext.getPersistentRDDs.keySet.toSet -- before
+    assert(added.size === 2, s"cached RDDs added by the run: $added")
+  }
+
   test("pipeline is deterministic in config and seed") {
     val r2 = Iuad.run(spark, papersDf, authDf, Iuad.Config(eta = 3, seed = 7L))
     val a1 = result.assignment.orderBy("pid", "name").collect().map(_.toString)

@@ -124,6 +124,17 @@ class ScnSpec extends SparkSpec with PropChecks {
     assert(vids.forall(v => v.contains("#c") || v.contains("#p")))
   }
 
+  test("vertices are unique and equal the vertexPapers vids plus the instances") {
+    val (_, auth) = DblpSynth.generate(spark, DblpSynth.Config(sf = 0.002, seed = 3L))
+    val scn = ScnBuilder.build(spark, auth, 2)
+    val vids = scn.vertices.select("vid").as[String].collect()
+    assert(vids.length === vids.distinct.length)
+    val instances = graphOf(auth, 2).comps.map(c => (ScnBuilder.vidOfComp(c.name, c.comp), c.name)).toDF("vid", "name")
+    val deduped = scn.vertexPapers.select("vid", "name").union(instances).distinct()
+    assert(scn.vertices.collect().toSet === deduped.collect().toSet)
+    assert(vids.exists(_.contains("#c")) && vids.exists(_.contains("#p")))
+  }
+
   test("SCN stage alone is high precision on the synthetic corpus") {
     val (_, auth) = DblpSynth.generate(spark, DblpSynth.Config(sf = 0.004, seed = 42L))
     val scn = ScnBuilder.build(spark, auth, 3)
