@@ -20,7 +20,16 @@ object Evaluation {
       .where(col("nAuthors") >= 2)
       .select("name")
 
-  /** Micro counts for a predicted assignment.
+  /** Micro counts for a predicted assignment, from one aggregate: with n
+    * occurrences per (name, cluster, author), each count is a sum of C(n, 2)
+    * over a coarser grouping — (name, cluster, author) gives TP,
+    * (name, cluster) the predicted-same pairs, (name, author) the truly-same
+    * pairs and name all pairs.
+    *
+    * Precondition: (pid, name) is unique in `assignment` and in `truth`, as
+    * `DblpSynth.authorships` and a one-cluster-per-occurrence assignment
+    * guarantee (a duplicated key would count a paper paired with itself),
+    * and no cluster or author is null.
     *
     * @param assignment (pid, name, cluster)
     * @param truth      (pid, name, authorId)
@@ -32,31 +41,21 @@ object Evaluation {
       truth: DataFrame,
       evalNames: Option[DataFrame] = None,
   ): Metrics = {
-    val joined0 = assignment
+    val keep = evalNames.map(_.select("name").collect().map(_.getString(0)).toSet)
+    // Counted through the RDD API, where a shuffle is not a job of its own.
+    val counts = assignment
       .join(truth.select("pid", "name", "authorId"), Seq("pid", "name"))
-    val joined = evalNames match {
-      case Some(names) => joined0.join(names, Seq("name"))
-      case None        => joined0
-    }
-    val l = joined.as("l"); val r = joined.as("r")
-    val pairs = l.join(
-      r,
-      col("l.name") === col("r.name") && col("l.pid") < col("r.pid"),
-    )
-    val agg = pairs
-      .select(
-        (col("l.cluster") === col("r.cluster")).as("predSame"),
-        (col("l.authorId") === col("r.authorId")).as("trueSame"),
-      )
-      .groupBy()
-      .agg(
-        sum(when(col("predSame") && col("trueSame"), 1L).otherwise(0L)).as("tp"),
-        sum(when(col("predSame") && !col("trueSame"), 1L).otherwise(0L)).as("fp"),
-        sum(when(!col("predSame") && col("trueSame"), 1L).otherwise(0L)).as("fn"),
-        sum(when(!col("predSame") && !col("trueSame"), 1L).otherwise(0L)).as("tn"),
-      )
-      .collect()(0)
-    def n(i: Int): Long = if (agg.isNullAt(i)) 0L else agg.getLong(i)
-    Metrics(n(0), n(1), n(2), n(3))
+      .select("name", "cluster", "authorId")
+      .rdd
+      .map(r => (r.getString(0), r.get(1), r.get(2)))
+      .countByValue()
+      .filter { case ((name, _, _), _) => keep.forall(_.contains(name)) }
+    def pairs[K](key: ((String, Any, Any)) => K): Long =
+      counts.groupMapReduce(c => key(c._1))(_._2)(_ + _).valuesIterator.map(n => n * (n - 1) / 2).sum
+    val tp = pairs(c => (c._1, c._2, c._3))
+    val predSame = pairs(c => (c._1, c._2))
+    val trueSame = pairs(c => (c._1, c._3))
+    val all = pairs(_._1)
+    Metrics(tp, predSame - tp, trueSame - tp, all - predSame - trueSame + tp)
   }
 }

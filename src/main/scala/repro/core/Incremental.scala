@@ -30,9 +30,15 @@ object Incremental {
       .mapGroups { (cid, it) => Profiles.merge(cid, it.map(_._2).toSeq) }
   }
 
-  /** Judge every new (paper, name) occurrence.
+  /** Judge every new (paper, name) occurrence on the driver: new papers
+    * arrive a few at a time, so their rows are collected, each occurrence
+    * `<name>#new<pid>` is profiled by [[Profiles.of]] with no SCN edges, and
+    * only the clusters of the names seen are read. An occurrence whose paper
+    * has no row in `newPapers` is not judged.
     *
-    * @return (pid, name, cluster, bestScore, nanosPerOccurrence)
+    * @return (pid, name, cluster, bestScore, nanos): bestScore is NaN when
+    *         the name has no cluster; nanos times the occurrence's profile
+    *         and scoring
     */
   def disambiguate(
       spark: SparkSession,
@@ -45,40 +51,31 @@ object Incremental {
       wlIters: Int = 2,
   ): DataFrame = {
     import spark.implicits._
-    val bModel = spark.sparkContext.broadcast(model)
-    val bStats = spark.sparkContext.broadcast(stats)
+    val namesOf = newAuthorships.select("pid", "name").as[(Long, String)].collect()
+      .groupBy(_._1).map { case (pid, occ) => pid -> occ.map(_._2).distinct.toSeq }
+    val papers = newPapers.select("pid", "title", "venue", "year").as[(Long, Seq[String], String, Int)]
+      .collect().filter(p => namesOf.contains(p._1))
+    val names = papers.flatMap(p => namesOf(p._1)).toSet
+    val clustersOf = gcnClusters.filter(col("name").isInCollection(names)).collect()
+      .groupBy(_.name).map { case (n, cs) => n -> cs.map(c => (c.vid, Similarity.Facts(c))) }
 
-    // One isolated vertex `<name>#new<pid>` per new occurrence.
-    val newVertexPapers = newAuthorships
-      .select("pid", "name")
-      .distinct()
-      .withColumn("vid", concat(col("name"), lit("#new"), col("pid")))
-    val newOcc = Profiles.fold(spark, newVertexPapers, newPapers, newAuthorships, Map.empty, wlIters)
-
-    newOcc
-      .groupByKey(_.name)
-      .cogroup(gcnClusters.groupByKey(_.name)) { (name, newIt, clustIt) =>
-        val clusters = clustIt.toArray
-        // Built only for names with a new occurrence, once per cluster.
-        lazy val clusterFacts = clusters.map(Similarity.Facts(_))
-        newIt.map { np =>
-          val t0 = System.nanoTime()
-          val facts = Similarity.Facts(np)
-          var bestCluster: String = np.vid
-          var bestScore = Double.NegativeInfinity
-          var i = 0
-          while (i < clusters.length) {
-            val s = bModel.value.score(Similarity.gamma(facts, clusterFacts(i), bStats.value).toSeq)
-            if (s > bestScore || (s == bestScore && clusters(i).vid < bestCluster)) {
-              bestScore = s; bestCluster = clusters(i).vid
-            }
-            i += 1
-          }
-          val chosen = if (clusters.nonEmpty && bestScore >= delta) bestCluster else np.vid
-          val pid = np.pids.head
-          (pid, name, chosen, if (clusters.isEmpty) Double.NaN else bestScore, System.nanoTime() - t0)
-        }
+    val judged = for {
+      (pid, title, venue, year) <- papers.toSeq
+      onPaper = namesOf(pid)
+      name <- onPaper
+    } yield {
+      val t0 = System.nanoTime()
+      val vid = s"$name#new$pid"
+      val facts = Similarity.Facts(Profiles.of(vid, name, Seq((pid, title, venue, year, onPaper)), Map.empty, wlIters))
+      val clusters = clustersOf.getOrElse(name, Array.empty[(String, Similarity.Facts)])
+      // A strictly higher score wins; equal scores go to the smaller cluster id.
+      val (bestScore, best) = clusters.foldLeft((Double.NegativeInfinity, vid)) { case ((bs, bc), (cid, cf)) =>
+        val s = model.score(Similarity.gamma(facts, cf, stats).toSeq)
+        if (s > bs || (s == bs && cid < bc)) (s, cid) else (bs, bc)
       }
-      .toDF("pid", "name", "cluster", "bestScore", "nanos")
+      val chosen = if (clusters.nonEmpty && bestScore >= delta) best else vid
+      (pid, name, chosen, if (clusters.isEmpty) Double.NaN else bestScore, System.nanoTime() - t0)
+    }
+    judged.toDF("pid", "name", "cluster", "bestScore", "nanos")
   }
 }

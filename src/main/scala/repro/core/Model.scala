@@ -29,7 +29,7 @@ object Model {
   )
 
   /** Everything the six similarity functions need about one vertex: an SCN
-    * vertex, a split half or a new occurrence, all built by [[Profiles.fold]].
+    * vertex, a split half or a new occurrence, all built by [[Profiles.of]].
     *
     * @param wordYears one (keyword, year) entry per paper containing it
     * @param cliques   co-author name pairs `"yz"` co-occurring with the

@@ -4,15 +4,15 @@ import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
 import org.apache.spark.sql.functions._
 import Model._
 
-/** Builds every [[Model.VertexProfile]] from paper rows: SCN vertices, the
-  * halves of a split vertex (§V-F.2) and new-paper occurrences (§V-E) all go
-  * through [[fold]].
+/** Builds every [[Model.VertexProfile]] from paper rows with the pure [[of]]:
+  * SCN vertices and the halves of a split vertex (§V-F.2) through the Spark
+  * [[fold]], new-paper occurrences (§V-E) on the driver in
+  * [[Incremental.disambiguate]].
   *
-  * Relational parts (paper attributes, each paper's author names) are
-  * DataFrame joins; the per-vertex fold is a `groupByKey(vid).mapGroups` that
-  * also computes the WL features. WL needs the instance-level SCN adjacency,
-  * which is SCR-derived and therefore small — it is collected once and ships
-  * with the fold's tasks.
+  * The fold joins paper attributes and each paper's author names to the
+  * vertices, then calls [[of]] in a `groupByKey(vid).mapGroups`. WL needs the
+  * instance-level SCN adjacency, which is SCR-derived and therefore small —
+  * it is collected once and ships with the fold's tasks.
   */
 object Profiles {
 
@@ -22,10 +22,40 @@ object Profiles {
   def encodeClique(y: String, z: String): String =
     if (y < z) s"$y$CliqueSep$z" else s"$z$CliqueSep$y"
 
-  /** One profile per vid of `vertexPapers` (vid, name, pid); every
-    * (pid, name) in it must occur in `authorships`.
+  /** One paper of a vertex: (pid, title words, venue, year, distinct names on the paper). */
+  type PaperRow = (Long, Seq[String], String, Int, Seq[String])
+
+  /** The profile of vertex `vid` of name `name` from its papers, in any order.
     *
     * @param adj instance-level WL adjacency; a vid missing from it is isolated
+    */
+  def of(
+      vid: String,
+      name: String,
+      papers: Seq[PaperRow],
+      adj: Map[String, Array[String]],
+      wlIters: Int,
+  ): VertexProfile = {
+    // pid order: γ3 sums word vectors in wordYears order, which must not
+    // depend on the order the rows arrive in.
+    val rows = papers.sortBy(_._1)
+    val cliques = rows.flatMap { row =>
+      val cs = row._5.filterNot(_ == name).sorted
+      for (i <- cs.indices; j <- (i + 1) until cs.size) yield encodeClique(cs(i), cs(j))
+    }.distinct.sorted
+    VertexProfile(
+      vid = vid,
+      name = name,
+      pids = rows.map(_._1),
+      wordYears = rows.flatMap(row => row._2.map(w => (w, row._4))),
+      venues = rows.map(_._3).sorted,
+      cliques = cliques,
+      wl = WlKernel.features(vid, adj, Map.empty, wlIters),
+    )
+  }
+
+  /** One profile per vid of `vertexPapers` (vid, name, pid), by [[of]];
+    * every (pid, name) in it must occur in `authorships`.
     */
   def fold(
       spark: SparkSession,
@@ -46,23 +76,8 @@ object Profiles {
       .as[(String, String, Long, Seq[String], String, Int, Seq[String])]
       .groupByKey(_._1)
       .mapGroups { (vid, it) =>
-        // pid order: γ3 sums word vectors in wordYears order, which must not
-        // depend on the shuffle.
-        val rows = it.toArray.sortBy(_._3)
-        val name = rows.head._2
-        val cliques = rows.flatMap { row =>
-          val cs = row._7.filterNot(_ == name).sorted
-          for (i <- cs.indices; j <- (i + 1) until cs.size) yield encodeClique(cs(i), cs(j))
-        }.distinct.toSeq.sorted
-        VertexProfile(
-          vid = vid,
-          name = name,
-          pids = rows.map(_._3).toSeq,
-          wordYears = rows.flatMap(row => row._4.map(w => (w, row._6))).toSeq,
-          venues = rows.map(_._5).toSeq.sorted,
-          cliques = cliques,
-          wl = WlKernel.features(vid, adj, Map.empty, wlIters),
-        )
+        val rows = it.toVector
+        of(vid, rows.head._2, rows.map(r => (r._3, r._4, r._5, r._6, r._7)), adj, wlIters)
       }
   }
 

@@ -1,9 +1,12 @@
 package repro.core
 
-import repro.{Oracle, SparkSpec}
+import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.functions._
+import org.scalacheck.Gen
+import repro.{Oracle, PropChecks, SparkSpec}
 import repro.core.Model.Metrics
 
-class EvaluationSpec extends SparkSpec {
+class EvaluationSpec extends SparkSpec with PropChecks {
   import spark.implicits._
 
   test("Metrics ratios match their definitions") {
@@ -116,5 +119,57 @@ class EvaluationSpec extends SparkSpec {
         |AND l.cluster = r.cluster AND l.authorId = r.authorId""".stripMargin,
       "j" -> joined,
     )
+  }
+
+  test("the aggregate of counts equals the pair self-join on random assignments") {
+    // Unique (pid, name) keys; truth covers keys the assignment lacks and
+    // vice versa, and evalNames may keep any subset of the names.
+    val keys = for (pid <- 1L to 12L; name <- Seq("a", "b", "c")) yield (pid, name)
+    val gen = for {
+      assigned <- Gen.someOf(keys).map(_.toSeq)
+      truthKeys <- Gen.someOf(keys).map(_.toSeq)
+      clusters <- Gen.listOfN(assigned.size, Gen.oneOf("c0", "c1", "c2", "c3"))
+      authors <- Gen.listOfN(truthKeys.size, Gen.choose(100L, 103L))
+      names <- Gen.option(Gen.someOf("a", "b", "c"))
+    } yield (assigned.zip(clusters), truthKeys.zip(authors), names)
+    forAll(gen, samples = 15) { case (assigned, truthRows, names) =>
+      val assign = assigned.map { case ((pid, name), c) => (pid, name, c) }.toDF("pid", "name", "cluster")
+      val truth = truthRows.map { case ((pid, name), a) => (pid, name, a) }.toDF("pid", "name", "authorId")
+      val evalNames = names.map(_.toSeq.toDF("name"))
+      assert(Evaluation.pairwiseMicro(spark, assign, truth, evalNames) ===
+        EvaluationSpec.selfJoinReference(spark, assign, truth, evalNames))
+    }
+  }
+}
+
+object EvaluationSpec {
+
+  /** The micro counts from every same-name occurrence pair, by a self-join:
+    * the reference for [[Evaluation.pairwiseMicro]]'s aggregate of counts.
+    */
+  def selfJoinReference(
+      spark: SparkSession,
+      assignment: DataFrame,
+      truth: DataFrame,
+      evalNames: Option[DataFrame],
+  ): Metrics = {
+    val joined0 = assignment.join(truth.select("pid", "name", "authorId"), Seq("pid", "name"))
+    val joined = evalNames.fold(joined0)(names => joined0.join(names, Seq("name")))
+    val l = joined.as("l"); val r = joined.as("r")
+    val agg = l.join(r, col("l.name") === col("r.name") && col("l.pid") < col("r.pid"))
+      .select(
+        (col("l.cluster") === col("r.cluster")).as("predSame"),
+        (col("l.authorId") === col("r.authorId")).as("trueSame"),
+      )
+      .groupBy()
+      .agg(
+        sum(when(col("predSame") && col("trueSame"), 1L).otherwise(0L)).as("tp"),
+        sum(when(col("predSame") && !col("trueSame"), 1L).otherwise(0L)).as("fp"),
+        sum(when(!col("predSame") && col("trueSame"), 1L).otherwise(0L)).as("fn"),
+        sum(when(!col("predSame") && !col("trueSame"), 1L).otherwise(0L)).as("tn"),
+      )
+      .collect()(0)
+    def n(i: Int): Long = if (agg.isNullAt(i)) 0L else agg.getLong(i)
+    Metrics(n(0), n(1), n(2), n(3))
   }
 }

@@ -1,5 +1,6 @@
 package repro.core
 
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import repro.SparkSpec
 import repro.dblp.DblpSynth
@@ -24,8 +25,9 @@ class IncrementalSpec extends SparkSpec {
   private lazy val clusters =
     Incremental.clusterProfiles(spark, result.profiles, result.mapping).cache()
   private lazy val baseline = Baseline2.newProfiles(spark, papersNew, authNew)
-  private lazy val incremental = Incremental.disambiguate(
-    spark, clusters, papersNew, authNew, result.model, result.stats, delta = 25.0).cache()
+  private def judge(papers: DataFrame, auth: DataFrame): DataFrame =
+    Incremental.disambiguate(spark, clusters, papers, auth, result.model, result.stats, delta = 25.0)
+  private lazy val incremental = judge(papersNew, authNew).cache()
 
   test("every new occurrence gets judged exactly once") {
     val expected = authNew.select("pid", "name").distinct().count()
@@ -103,6 +105,49 @@ class IncrementalSpec extends SparkSpec {
     }
   }
 
+  /** (pid, name, cluster, bestScore bits) of judged rows, sorted; the bits
+    * make NaN scores compare equal.
+    */
+  private def judgedRows(df: DataFrame): Seq[(Long, String, String, Long)] =
+    df.select("pid", "name", "cluster", "bestScore").as[(Long, String, String, Double)].collect()
+      .map { case (pid, name, c, s) => (pid, name, c, java.lang.Double.doubleToLongBits(s)) }
+      .toSeq.sorted
+
+  test("judging a paper alone gives the rows the batch call gives it") {
+    val batch = judgedRows(incremental)
+    heldPids.toSeq.sorted.take(10).foreach { pid =>
+      val alone = judgedRows(judge(papersNew.filter(col("pid") === pid), authNew.filter(col("pid") === pid)))
+      assert(alone.nonEmpty, s"paper $pid")
+      assert(alone === batch.filter(_._1 == pid), s"paper $pid")
+    }
+  }
+
+  test("two identical calls return identical rows") {
+    assert(judgedRows(judge(papersNew, authNew)) === judgedRows(incremental))
+  }
+
+  test("duplicated authorship rows still give one judged row per occurrence") {
+    val pid = heldPids.min
+    val one = authNew.filter(col("pid") === pid)
+    val rows = judgedRows(judge(papersNew.filter(col("pid") === pid), one.union(one).union(one)))
+    assert(rows === judgedRows(incremental).filter(_._1 == pid))
+    assert(rows.map(r => (r._1, r._2)).distinct.size === rows.size)
+  }
+
+  test("a single-author paper gets a defined row") {
+    val name = clusters.select("name").as[String].collect().min
+    val lone = Seq((888888L, Seq("t0_w1", "t0_w2"), "v0", 2012)).toDF("pid", "title", "venue", "year")
+    val loneAuth = Seq((888888L, 4242L, name)).toDF("pid", "authorId", "name")
+    val out = judgedRows(judge(lone, loneAuth))
+    assert(out.size === 1)
+    val (pid, n, cluster, bits) = out.head
+    assert(pid === 888888L && n === name)
+    val score = java.lang.Double.longBitsToDouble(bits)
+    assert(!score.isNaN, "the name has clusters, so the score is defined")
+    val theirs = clusters.filter(col("name") === name).select("vid").as[String].collect().toSet
+    assert(theirs.contains(cluster) || cluster === s"$name#new888888", cluster)
+  }
+
   test("incremental respects argmax: assigned cluster has the best score") {
     // Re-compute scores for a few judged occurrences and verify argmax.
     val clusterArr = clusters.collect()
@@ -127,7 +172,7 @@ class IncrementalSpec extends SparkSpec {
   * argmax cross-check and the fold.
   */
 object Baseline2 {
-  import org.apache.spark.sql.{DataFrame, SparkSession}
+  import org.apache.spark.sql.SparkSession
 
   def newProfiles(spark: SparkSession, papersNew: DataFrame, authNew: DataFrame): Map[(Long, String), Model.VertexProfile] = {
     import spark.implicits._

@@ -1,10 +1,11 @@
 package repro.core
 
 import org.apache.spark.sql.functions._
-import repro.SparkSpec
+import org.scalacheck.Gen
+import repro.{PropChecks, SparkSpec}
 import repro.dblp.DblpSynth
 
-class ProfilesSpec extends SparkSpec {
+class ProfilesSpec extends SparkSpec with PropChecks {
   import spark.implicits._
 
   private lazy val cfg = DblpSynth.Config(sf = 0.002, seed = 21L)
@@ -100,6 +101,62 @@ class ProfilesSpec extends SparkSpec {
   test("profile names match their vid prefix") {
     profiles.take(100).foreach { p =>
       assert(p.vid.startsWith(p.name + "#"), s"${p.vid} vs ${p.name}")
+    }
+  }
+
+  /** Paper rows of vertex "a#c0" with distinct pids; the names on a paper
+    * may or may not include "a".
+    */
+  private val paperRowsGen: Gen[Seq[Profiles.PaperRow]] = {
+    val paper = for {
+      title <- Gen.listOf(Gen.oneOf("w1", "w2", "w3", "rare"))
+      venue <- Gen.oneOf("v0", "v1", "v2")
+      year <- Gen.choose(1990, 2010)
+      names <- Gen.someOf("a", "b", "c", "d", "e").map(_.toSeq)
+    } yield (title, venue, year, names)
+    for {
+      pids <- Gen.listOf(Gen.choose(1L, 30L)).map(_.distinct)
+      ps <- Gen.listOfN(pids.size, paper)
+    } yield pids.zip(ps).map { case (pid, (t, v, y, ns)) => (pid, t, v, y, ns) }
+  }
+
+  private val adj = Map("a#c0" -> Array("b#c0"), "b#c0" -> Array("a#c0"))
+
+  test("of does not depend on the order of its paper rows or of the names on a paper") {
+    forAll(Gen.zip(paperRowsGen, Gen.long)) { case (rows, seed) =>
+      val rnd = new scala.util.Random(seed)
+      val shuffled = rnd.shuffle(rows).map(r => r.copy(_5 = rnd.shuffle(r._5)))
+      assert(Profiles.of("a#c0", "a", shuffled, adj, 2) === Profiles.of("a#c0", "a", rows, adj, 2))
+    }
+  }
+
+  test("of: cliques never contain the vertex's own name, and are canonical pairs") {
+    forAll(paperRowsGen) { rows =>
+      Profiles.of("a#c0", "a", rows, adj, 2).cliques.foreach { c =>
+        val Array(y, z) = c.split(Profiles.CliqueSep)
+        assert(y != "a" && z != "a", c)
+        assert(y < z, c)
+      }
+    }
+  }
+
+  test("of equals the fold's output for every vertex of the corpus") {
+    val papers = papersDf.select("pid", "title", "venue", "year").as[(Long, Seq[String], String, Int)]
+      .collect().map(p => p._1 -> p).toMap
+    val namesOn = authDf.select("pid", "name").as[(Long, String)].collect()
+      .groupBy(_._1).map { case (pid, rs) => pid -> rs.map(_._2).toSeq }
+    val scnAdj = scn.edges.select("src", "dst").as[(String, String)].collect()
+      .flatMap { case (s, d) => Seq(s -> d, d -> s) }
+      .groupBy(_._1).map { case (v, es) => v -> es.map(_._2).distinct.sorted }
+    val byVid = scn.vertexPapers.select("vid", "name", "pid").as[(String, String, Long)].collect().groupBy(_._1)
+    val folded = profiles.collect()
+    assert(folded.length === byVid.size)
+    folded.foreach { p =>
+      val rows = byVid(p.vid).toSeq.map { case (_, _, pid) =>
+        val (_, title, venue, year) = papers(pid)
+        (pid, title, venue, year, namesOn(pid))
+      }
+      assert(Profiles.of(p.vid, byVid(p.vid).head._2, rows, scnAdj, 2) === p, p.vid)
     }
   }
 }

@@ -122,12 +122,6 @@ class DblpSynthSpec extends SparkSpec {
     )
   }
 
-  test("SynthData.dblp hook delegates to the generator") {
-    val (p, a) = repro.SynthData.dblp(spark, sf = 0.003, seed = 42L)
-    assert(p.count() === papersDf.count())
-    assert(a.count() === authDf.count())
-  }
-
   test("testing subset shape: ambiguous names with multiple true authors exist") {
     val amb = authDf
       .groupBy("name")
