@@ -60,29 +60,42 @@ object Ensembles {
     AdaBoostModel(out.toSeq)
   }
 
-  /** Gradient-boosted regression trees with logistic loss. */
-  final case class GbdtModel(f0: Double, trees: Seq[Node], lr: Double) extends BinaryClassifier {
+  /** Boosted trees on the log-odds scale: sigmoid(f0 + Σ lr·tree(x)). Both
+    * [[gbdt]] and [[xgbLike]] return one.
+    */
+  final case class BoostedModel(f0: Double, trees: Seq[Node], lr: Double) extends BinaryClassifier {
     def predictProba(x: Array[Double]): Double =
       sigmoid(f0 + trees.map(t => lr * t.predict(x)).sum)
   }
 
-  def gbdt(xs: Array[Array[Double]], y: Array[Int], rounds: Int = 60, lr: Double = 0.2, maxDepth: Int = 3): GbdtModel = {
+  /** `rounds` trees from the base-rate log-odds; `fitTree` fits the next
+    * tree to the current scores f(x).
+    */
+  private def boost(xs: Array[Array[Double]], y: Array[Int], rounds: Int, lr: Double)(
+      fitTree: Array[Double] => Node): BoostedModel = {
     val n = xs.length
     val base = math.min(math.max(y.sum.toDouble / math.max(1, n), 1e-6), 1.0 - 1e-6)
     val f0 = math.log(base / (1.0 - base))
     val f = Array.fill(n)(f0)
     val trees = scala.collection.mutable.ArrayBuffer.empty[Node]
-    val ones = Array.fill(n)(1.0)
     var r = 0
     while (r < rounds) {
-      val resid = Array.tabulate(n)(i => y(i) - sigmoid(f(i)))
-      val t = Tree.fitRegression(xs, resid, ones, maxDepth = maxDepth, minLeaf = 3)
+      val t = fitTree(f)
       trees += t
       var i = 0
       while (i < n) { f(i) += lr * t.predict(xs(i)); i += 1 }
       r += 1
     }
-    GbdtModel(f0, trees.toSeq, lr)
+    BoostedModel(f0, trees.toSeq, lr)
+  }
+
+  /** Gradient-boosted regression trees with logistic loss. */
+  def gbdt(xs: Array[Array[Double]], y: Array[Int], rounds: Int = 60, lr: Double = 0.2, maxDepth: Int = 3): BoostedModel = {
+    val ones = Array.fill(xs.length)(1.0)
+    boost(xs, y, rounds, lr) { f =>
+      val resid = Array.tabulate(xs.length)(i => y(i) - sigmoid(f(i)))
+      Tree.fitRegression(xs, resid, ones, maxDepth = maxDepth, minLeaf = 3)
+    }
   }
 
   /** Random forest of deeper trees on bootstrap rows + column subsamples. */
@@ -110,11 +123,6 @@ object Ensembles {
   }
 
   /** XGBoost-style Newton boosting with L2-regularised leaves. */
-  final case class XgbModel(f0: Double, trees: Seq[Node], lr: Double) extends BinaryClassifier {
-    def predictProba(x: Array[Double]): Double =
-      sigmoid(f0 + trees.map(t => lr * t.predict(x)).sum)
-  }
-
   def xgbLike(
       xs: Array[Array[Double]],
       y: Array[Int],
@@ -122,23 +130,11 @@ object Ensembles {
       lr: Double = 0.3,
       maxDepth: Int = 4,
       lambda: Double = 1.0,
-  ): XgbModel = {
-    val n = xs.length
-    val base = math.min(math.max(y.sum.toDouble / math.max(1, n), 1e-6), 1.0 - 1e-6)
-    val f0 = math.log(base / (1.0 - base))
-    val f = Array.fill(n)(f0)
-    val trees = scala.collection.mutable.ArrayBuffer.empty[Node]
-    var r = 0
-    while (r < rounds) {
+  ): BoostedModel =
+    boost(xs, y, rounds, lr) { f =>
       val p = f.map(sigmoid)
-      val g = Array.tabulate(n)(i => p(i) - y(i))
-      val h = Array.tabulate(n)(i => math.max(p(i) * (1.0 - p(i)), 1e-6))
-      val t = Tree.fitNewton(xs, g, h, maxDepth, lambda = lambda, minLeaf = 3)
-      trees += t
-      var i = 0
-      while (i < n) { f(i) += lr * t.predict(xs(i)); i += 1 }
-      r += 1
+      val g = Array.tabulate(xs.length)(i => p(i) - y(i))
+      val h = Array.tabulate(xs.length)(i => math.max(p(i) * (1.0 - p(i)), 1e-6))
+      Tree.fitNewton(xs, g, h, maxDepth, lambda = lambda, minLeaf = 3)
     }
-    XgbModel(f0, trees.toSeq, lr)
-  }
 }

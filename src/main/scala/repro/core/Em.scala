@@ -19,23 +19,23 @@ object Em {
       unmatched: Seq[Dist],
   ) extends Serializable {
 
-    def logLikM(g: Seq[Double]): Double = {
+    def logLikM(g: Array[Double]): Double = {
       var s = math.log(p); var i = 0
       while (i < matched.length) { s += matched(i).logPdf(g(i)); i += 1 }
       s
     }
 
-    def logLikU(g: Seq[Double]): Double = {
+    def logLikU(g: Array[Double]): Double = {
       var s = math.log(1.0 - p); var i = 0
       while (i < unmatched.length) { s += unmatched(i).logPdf(g(i)); i += 1 }
       s
     }
 
     /** Matching score sc_j = log(P(M|γ)/P(U|γ)) (Eq. 11). */
-    def score(g: Seq[Double]): Double = logLikM(g) - logLikU(g)
+    def score(g: Array[Double]): Double = logLikM(g) - logLikU(g)
 
     /** Responsibility P(r ∈ M | γ). */
-    def responsibility(g: Seq[Double]): Double = {
+    def responsibility(g: Array[Double]): Double = {
       val m = logLikM(g); val u = logLikU(g)
       val hi = math.max(m, u)
       val em = math.exp(m - hi); val eu = math.exp(u - hi)
@@ -99,8 +99,9 @@ object Em {
         val g = all(j)
         val m = model.logLikM(g); val u = model.logLikU(g)
         val hi = math.max(m, u)
-        ll += hi + math.log(math.exp(m - hi) + math.exp(u - hi))
-        l(j) = if (j >= nFree) 1.0 else model.responsibility(g)
+        val em = math.exp(m - hi); val eu = math.exp(u - hi)
+        ll += hi + math.log(em + eu)
+        l(j) = if (j >= nFree) 1.0 else em / (em + eu) // responsibility(g)
         j += 1
       }
       // M-step

@@ -32,9 +32,9 @@ object Incremental {
 
   /** Judge every new (paper, name) occurrence on the driver: new papers
     * arrive a few at a time, so their rows are collected, each occurrence
-    * `<name>#new<pid>` is profiled by [[Profiles.of]] with no SCN edges, and
-    * only the clusters of the names seen are read. An occurrence whose paper
-    * has no row in `newPapers` is not judged.
+    * ([[Vid.newOccurrence]]) is profiled by [[Profiles.of]] with no SCN
+    * edges, and only the clusters of the names seen are read. An occurrence
+    * whose paper has no row in `newPapers` is not judged.
     *
     * @return (pid, name, cluster, bestScore, nanos): bestScore is NaN when
     *         the name has no cluster; nanos times the occurrence's profile
@@ -65,12 +65,13 @@ object Incremental {
       name <- onPaper
     } yield {
       val t0 = System.nanoTime()
-      val vid = s"$name#new$pid"
-      val facts = Similarity.Facts(Profiles.of(vid, name, Seq((pid, title, venue, year, onPaper)), Map.empty, wlIters))
+      val vid = Vid.newOccurrence(name, pid)
+      val facts = Similarity.Facts(
+        Profiles.of(vid, name, Seq((pid, title, venue, year, onPaper)), ScnBuilder.Graph.empty, wlIters))
       val clusters = clustersOf.getOrElse(name, Array.empty[(String, Similarity.Facts)])
       // A strictly higher score wins; equal scores go to the smaller cluster id.
       val (bestScore, best) = clusters.foldLeft((Double.NegativeInfinity, vid)) { case ((bs, bc), (cid, cf)) =>
-        val s = model.score(Similarity.gamma(facts, cf, stats).toSeq)
+        val s = model.score(Similarity.gamma(facts, cf, stats))
         if (s > bs || (s == bs && cid < bc)) (s, cid) else (bs, bc)
       }
       val chosen = if (clusters.nonEmpty && bestScore >= delta) best else vid

@@ -45,10 +45,9 @@ object Iuad {
   )
 
   /** Random halves of the prolific SCN vertices chosen for balancing
-    * (§V-F.2): vertex `v`'s paper `pid` goes to `v/s0` if (pid + seed) mod 2
-    * is 0, else to `v/s1`. Halves are profiled by the same [[Profiles.fold]]
-    * as SCN vertices; they have no SCN edges, so their WL ego graph is the
-    * bare name.
+    * (§V-F.2), one per [[Vid.half]]. Halves are profiled by the same
+    * [[Profiles.fold]] as SCN vertices; they have no SCN edges, so their WL
+    * ego graph is the bare name.
     */
   def splitHalves(
       spark: SparkSession,
@@ -72,16 +71,12 @@ object Iuad {
 
     val halves = scn.vertexPapers
       .filter(col("vid").isInCollection(chosen))
-      .withColumn(
-        "vid",
-        concat(col("vid"), when(pmod(col("pid") + lit(cfg.seed), lit(2)) === 0, lit("/s0")).otherwise(lit("/s1"))),
-      )
-    Profiles.fold(spark, halves, papers, authorships, Map.empty, cfg.wlIters).collect()
+      .withColumn("vid", Vid.half(col("vid"), col("pid"), cfg.seed))
+    Profiles.fold(spark, halves, papers, authorships, ScnBuilder.Graph.empty, cfg.wlIters).collect()
   }
 
   /** Matched training pairs: the γ of the two halves of each split vertex
-    * (balances the heavy unmatched majority, §V-F.2). A half's vid is its
-    * parent's plus the 3-character suffix `/s0` or `/s1`.
+    * (balances the heavy unmatched majority, §V-F.2).
     */
   def splitVertexPairs(
       spark: SparkSession,
@@ -92,7 +87,7 @@ object Iuad {
       cfg: Config,
   ): Array[Array[Double]] =
     splitHalves(spark, scn, papers, authorships, cfg)
-      .groupBy(_.vid.dropRight(3))
+      .groupBy(p => Vid.parent(p.vid))
       .valuesIterator
       .collect { case Array(a, b) => Similarity.gamma(Similarity.Facts(a), Similarity.Facts(b), stats) }
       .toArray
@@ -115,7 +110,7 @@ object Iuad {
     val frac =
       if (nPairs == 0L) 0.0
       else math.min(1.0, math.max(cfg.sampleFrac, cfg.minTrainPairs.toDouble / nPairs))
-    val sample = pairs.sample(withReplacement = false, frac, cfg.seed).map(_.g.toArray).collect()
+    val sample = pairs.sample(withReplacement = false, frac, cfg.seed).map(_.g).collect()
     val known = splitVertexPairs(spark, scn, papers, authorships, stats, cfg)
 
     val model = Em.fit(sample, cfg.em, known)

@@ -1,17 +1,27 @@
 package repro.core
 
-import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.{Column, DataFrame}
+import org.apache.spark.sql.functions.{concat, lit, pmod, when}
 
-/** Shared row types of the IUAD pipeline.
-  *
-  * Vertex ids are strings: `"<name>#c<k>"` for the k-th SCR component of a
-  * name, `"<name>#p<pid>"` for a singleton (one isolated vertex per
-  * (name, paper) occurrence — see DESIGN.md §5.11). Stage I spells them only
-  * in `ScnBuilder.vidOfComp` / `vidOfSingleton` and never parses them;
-  * `WlKernel` labels a vertex by the part of its id before the first `#`,
-  * which is its name as long as names contain no `#`.
-  */
+/** Shared row types of the IUAD pipeline. */
 object Model {
+
+  /** Every vertex id, spelled only here. No code reads a name back from an
+    * id (WL labels come from names); the one read-back is a half's [[parent]].
+    */
+  object Vid {
+    /** The SCN vertex of the k-th SCR component of `name`. */
+    def instance(name: String, comp: Int): String = s"$name#c$comp"
+    /** One isolated vertex per (name, paper) occurrence (DESIGN.md §5.11). */
+    def singleton(name: String, pid: Long): String = s"$name#p$pid"
+    /** A new paper's occurrence, judged by [[Incremental.disambiguate]]. */
+    def newOccurrence(name: String, pid: Long): String = s"$name#new$pid"
+    /** The half of split vertex `vid` that holds paper `pid` (§V-F.2). */
+    def half(vid: Column, pid: Column, seed: Long): Column =
+      concat(vid, when(pmod(pid + lit(seed), lit(2)) === 0, lit("/s0")).otherwise(lit("/s1")))
+    /** The split vertex of a [[half]]. */
+    def parent(half: String): String = half.dropRight(3)
+  }
 
   /** For name `name`, SCR partner `nbr` lies in neighbour-component `comp`. */
   final case class NeighborComp(name: String, nbr: String, comp: Int)
@@ -19,13 +29,15 @@ object Model {
   /** The stable collaboration network (Stage I output).
     *
     * @param vertices     (vid, name)
-    * @param edges        (src, dst) instance-level SCR edges
+    * @param edges        (src, dst) instance-level SCR edges: `graph.edges`
     * @param vertexPapers (vid, name, pid)
+    * @param graph        the instance level, built on the driver
     */
   final case class Scn(
       vertices: DataFrame,
       edges: DataFrame,
       vertexPapers: DataFrame,
+      graph: ScnBuilder.Graph,
   )
 
   /** Everything the six similarity functions need about one vertex: an SCN
@@ -34,7 +46,8 @@ object Model {
     * @param wordYears one (keyword, year) entry per paper containing it
     * @param cliques   co-author name pairs `"yz"` co-occurring with the
     *                  vertex in one of its papers (triangle shortcut of γ2)
-    * @param wl        WL subgraph-kernel feature counts of the ego subgraph
+    * @param wl        WL subgraph-kernel feature counts of the ego subgraph,
+    *                  each vertex labelled by its name
     */
   final case class VertexProfile(
       vid: String,
@@ -49,7 +62,7 @@ object Model {
   }
 
   /** Candidate same-name vertex pair with its 6-dim similarity vector. */
-  final case class PairGamma(name: String, vi: String, vj: String, g: Seq[Double])
+  final case class PairGamma(name: String, vi: String, vj: String, g: Array[Double])
 
   /** Scored candidate pair (log posterior-odds of being matched). */
   final case class ScoredPair(name: String, vi: String, vj: String, score: Double)

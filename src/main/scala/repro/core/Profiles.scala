@@ -11,8 +11,9 @@ import Model._
   *
   * The fold joins paper attributes and each paper's author names to the
   * vertices, then calls [[of]] in a `groupByKey(vid).mapGroups`. WL needs the
-  * instance-level SCN adjacency, which is SCR-derived and therefore small —
-  * it is collected once and ships with the fold's tasks.
+  * instance-level SCN adjacency and names, which are SCR-derived and
+  * therefore small: [[ScnBuilder.graph]] builds them on the driver, and they
+  * ship with the fold's tasks.
   */
 object Profiles {
 
@@ -27,13 +28,14 @@ object Profiles {
 
   /** The profile of vertex `vid` of name `name` from its papers, in any order.
     *
-    * @param adj instance-level WL adjacency; a vid missing from it is isolated
+    * @param graph the SCN instance graph WL runs on; a vid with no edge in
+    *              it is isolated, and its ego graph is the bare name
     */
   def of(
       vid: String,
       name: String,
       papers: Seq[PaperRow],
-      adj: Map[String, Array[String]],
+      graph: ScnBuilder.Graph,
       wlIters: Int,
   ): VertexProfile = {
     // pid order: γ3 sums word vectors in wordYears order, which must not
@@ -50,7 +52,7 @@ object Profiles {
       wordYears = rows.flatMap(row => row._2.map(w => (w, row._4))),
       venues = rows.map(_._3).sorted,
       cliques = cliques,
-      wl = WlKernel.features(vid, adj, Map.empty, wlIters),
+      wl = WlKernel.features(vid, name, graph.adj, graph.names, wlIters),
     )
   }
 
@@ -62,7 +64,7 @@ object Profiles {
       vertexPapers: DataFrame,
       papers: DataFrame,
       authorships: DataFrame,
-      adj: Map[String, Array[String]],
+      graph: ScnBuilder.Graph,
       wlIters: Int,
   ): Dataset[VertexProfile] = {
     import spark.implicits._
@@ -77,7 +79,7 @@ object Profiles {
       .groupByKey(_._1)
       .mapGroups { (vid, it) =>
         val rows = it.toVector
-        of(vid, rows.head._2, rows.map(r => (r._3, r._4, r._5, r._6, r._7)), adj, wlIters)
+        of(vid, rows.head._2, rows.map(r => (r._3, r._4, r._5, r._6, r._7)), graph, wlIters)
       }
   }
 
@@ -88,14 +90,8 @@ object Profiles {
       papers: DataFrame,
       authorships: DataFrame,
       wlIters: Int = 2,
-  ): Dataset[VertexProfile] = {
-    import spark.implicits._
-    val adj = scn.edges.select("src", "dst").as[(String, String)].collect()
-      .flatMap { case (s, d) => Seq(s -> d, d -> s) }
-      .groupBy(_._1)
-      .map { case (v, es) => v -> es.map(_._2).distinct.sorted }
-    fold(spark, scn.vertexPapers, papers, authorships, adj, wlIters)
-  }
+  ): Dataset[VertexProfile] =
+    fold(spark, scn.vertexPapers, papers, authorships, scn.graph, wlIters)
 
   /** Merge several profiles into one (used when GCN clusters vertices and in
     * the incremental judge). WL maps are summed — an approximation of the

@@ -26,15 +26,20 @@ import Model._
   */
 object ScnBuilder {
 
-  def vidOfComp(name: String, comp: Int): String = s"$name#c$comp"
-  def vidOfSingleton(name: String, pid: Long): String = s"$name#p$pid"
-
   /** The SCN's instance level.
     *
     * @param comps one row per (name, SCR partner): the partner's component
     * @param edges (src, dst) instance vids, one edge per SCR
     */
-  final case class Graph(comps: Seq[NeighborComp], edges: Seq[(String, String)])
+  final case class Graph(comps: Seq[NeighborComp], edges: Seq[(String, String)]) {
+    /** Instance vid → its name, the vertex's WL label. */
+    val names: Map[String, String] = comps.map(c => Vid.instance(c.name, c.comp) -> c.name).toMap
+    /** Each instance's distinct neighbours, sorted; a vid with no edge is absent. */
+    val adj: Map[String, Array[String]] = edges.flatMap { case (s, d) => Seq(s -> d, d -> s) }
+      .groupMap(_._1)(_._2).map { case (v, ns) => v -> ns.distinct.sorted.toArray }
+  }
+
+  object Graph { val empty: Graph = Graph(Seq.empty, Seq.empty) }
 
   /** Instance graph of the SCRs `(a, b, cnt)`. Component k of a name is the
     * k-th by smallest member, so ids do not depend on the order of `scrs`;
@@ -52,7 +57,7 @@ object ScnBuilder {
       }
     }
     val compOf = comps.map(c => (c.name, c.nbr) -> c.comp).toMap
-    Graph(comps, scrs.map { case (a, b, _) => (vidOfComp(a, compOf((a, b))), vidOfComp(b, compOf((b, a)))) })
+    Graph(comps, scrs.map { case (a, b, _) => (Vid.instance(a, compOf((a, b))), Vid.instance(b, compOf((b, a)))) })
   }
 
   /** Strongest SCR partner last: by count, then by name in Spark's
@@ -81,22 +86,21 @@ object ScnBuilder {
             val m = mates.value.getOrElse(name, Map.empty[String, (Long, Int)])
             val onPaper = names.flatMap(p => m.get(p).map { case (c, k) => (c, p, k) })
             val vid =
-              if (onPaper.isEmpty) vidOfSingleton(name, pid)
-              else vidOfComp(name, onPaper.max(byStrength)._3)
+              if (onPaper.isEmpty) Vid.singleton(name, pid)
+              else Vid.instance(name, onPaper.max(byStrength)._3)
             (vid, name, pid)
           }
         }
         .toDF("vid", "name", "pid"))
     // Every vid of vertexPapers is an instance or a singleton, and a
     // singleton has one paper: singleton rows plus instances are duplicate-free.
-    val instances = g.comps.map(c => (vidOfComp(c.name, c.comp), c.name)).distinct
-    val instanceVids = spark.sparkContext.broadcast(instances.map(_._1).toSet)
+    val instanceVids = spark.sparkContext.broadcast(g.names.keySet)
     val isSingleton = udf((vid: String) => !instanceVids.value.contains(vid))
     val vertices = vertexPapers
       .where(isSingleton(col("vid")))
       .select("vid", "name")
-      .union(instances.toDF("vid", "name"))
+      .union(g.names.toSeq.toDF("vid", "name"))
 
-    Scn(vertices, g.edges.toDF("src", "dst"), vertexPapers)
+    Scn(vertices, g.edges.toDF("src", "dst"), vertexPapers, g)
   }
 }

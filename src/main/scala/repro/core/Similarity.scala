@@ -178,17 +178,8 @@ object Similarity {
           if (all.length <= maxPerName) all.sortBy(_.vid)
           else all.sortBy(p => (-p.nPapers, p.vid)).take(maxPerName).sortBy(_.vid)
         val fs = vs.map(Facts(_))
-        val out = scala.collection.mutable.ArrayBuffer.empty[PairGamma]
-        var i = 0
-        while (i < vs.length) {
-          var j = i + 1
-          while (j < vs.length) {
-            out += PairGamma(name, vs(i).vid, vs(j).vid, gamma(fs(i), fs(j), bStats.value).toSeq)
-            j += 1
-          }
-          i += 1
-        }
-        out.iterator
+        for (i <- vs.indices.iterator; j <- (i + 1) until vs.length)
+          yield PairGamma(name, vs(i).vid, vs(j).vid, gamma(fs(i), fs(j), bStats.value))
       }
   }
 }

@@ -12,16 +12,18 @@ package repro.core
   */
 object WlKernel {
 
-  /** WL feature counts for vertex `vid`.
+  /** WL feature counts for vertex `vid` of name `name`.
     *
     * @param adj   instance-level adjacency (undirected; missing key = isolated)
-    * @param label vertex id → initial label (the author name)
+    * @param names vertex id → initial label (the author name) of every
+    *              neighbour in `adj`; `vid` itself is labelled `name`
     * @param h     number of WL refinement iterations (h >= 0)
     */
   def features(
       vid: String,
+      name: String,
       adj: Map[String, Array[String]],
-      label: Map[String, String],
+      names: Map[String, String],
       h: Int,
   ): Map[String, Int] = {
     require(h >= 0, s"WL iterations must be >= 0, got $h")
@@ -31,7 +33,7 @@ object WlKernel {
     val egoAdj: Map[String, Array[String]] =
       ego.map(u => u -> adj.getOrElse(u, Array.empty[String]).filter(inEgo.contains)).toMap
 
-    def labelOf(u: String): String = label.getOrElse(u, u.takeWhile(_ != '#'))
+    def labelOf(u: String): String = if (u == vid) name else names(u)
 
     var cur: Map[String, String] = ego.map(u => u -> s"0|${labelOf(u)}").toMap
     val counts = scala.collection.mutable.HashMap.empty[String, Int]

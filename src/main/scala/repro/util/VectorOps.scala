@@ -35,10 +35,4 @@ object VectorOps {
     vs.foreach(addInPlace(acc, _))
     scale(acc, 1.0 / vs.size)
   }
-
-  def euclidean(a: Array[Double], b: Array[Double]): Double = {
-    var s = 0.0; var i = 0
-    while (i < a.length) { val d = a(i) - b(i); s += d * d; i += 1 }
-    math.sqrt(s)
-  }
 }

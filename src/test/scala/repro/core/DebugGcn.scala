@@ -39,7 +39,7 @@ object DebugGcn {
 
     // gamma stats by truth
     val pairsWithTruth = r.pairs.collect().flatMap { pg =>
-      isTrueMatch(pg.vi, pg.vj).map(t => (t, pg.g.toArray))
+      isTrueMatch(pg.vi, pg.vj).map(t => (t, pg.g))
     }
     val (m, u) = pairsWithTruth.partition(_._1)
     def meanOf(xs: Array[(Boolean, Array[Double])], i: Int): Double =

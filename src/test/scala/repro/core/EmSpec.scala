@@ -33,8 +33,8 @@ class EmSpec extends SparkSpec {
     val (m, u) = synth(60, 300, 1L)
     val model = Em.fit(m ++ u)
     // matched examples should score higher than unmatched ones
-    val mScores = m.map(g => model.score(g.toSeq))
-    val uScores = u.map(g => model.score(g.toSeq))
+    val mScores = m.map(g => model.score(g))
+    val uScores = u.map(g => model.score(g))
     val mMean = mScores.sum / mScores.length
     val uMean = uScores.sum / uScores.length
     assert(mMean > uMean, s"matched mean $mMean vs unmatched mean $uMean")
@@ -46,8 +46,8 @@ class EmSpec extends SparkSpec {
     val (m, u) = synth(50, 250, 2L)
     val model = Em.fit(m ++ u)
     val threshold = 0.0
-    val tpr = m.count(g => model.score(g.toSeq) >= threshold).toDouble / m.length
-    val fpr = u.count(g => model.score(g.toSeq) >= threshold).toDouble / u.length
+    val tpr = m.count(g => model.score(g) >= threshold).toDouble / m.length
+    val fpr = u.count(g => model.score(g) >= threshold).toDouble / u.length
     assert(tpr > 0.9, s"tpr $tpr")
     assert(fpr < 0.1, s"fpr $fpr")
   }
@@ -61,8 +61,8 @@ class EmSpec extends SparkSpec {
   test("known matched pairs steer the matched component") {
     val (m, u) = synth(10, 300, 4L)
     val model = Em.fit(u, knownMatched = m) // free data is all-unmatched
-    val mMean = m.map(g => model.score(g.toSeq)).sum / m.length
-    val uMean = u.map(g => model.score(g.toSeq)).sum / u.length
+    val mMean = m.map(g => model.score(g)).sum / m.length
+    val uMean = u.map(g => model.score(g)).sum / u.length
     assert(mMean > uMean)
   }
 
@@ -70,7 +70,7 @@ class EmSpec extends SparkSpec {
     val (m, u) = synth(30, 100, 5L)
     val model = Em.fit(m ++ u)
     (m ++ u).foreach { g =>
-      val r = model.responsibility(g.toSeq)
+      val r = model.responsibility(g)
       assert(r >= 0.0 && r <= 1.0)
     }
   }
@@ -78,7 +78,7 @@ class EmSpec extends SparkSpec {
   test("score = logLikM - logLikU identity") {
     val (m, u) = synth(20, 60, 6L)
     val model = Em.fit(m ++ u)
-    val g = m.head.toSeq
+    val g = m.head
     assert(math.abs(model.score(g) - (model.logLikM(g) - model.logLikU(g))) < 1e-12)
   }
 
@@ -96,8 +96,8 @@ class EmSpec extends SparkSpec {
     val (m, u) = synth(40, 160, 7L)
     val cfg = Em.Config(dists = Seq.fill(6)("multinomial"))
     val model = Em.fit(m ++ u, cfg)
-    val mMean = m.map(g => model.score(g.toSeq)).sum / m.length
-    val uMean = u.map(g => model.score(g.toSeq)).sum / u.length
+    val mMean = m.map(g => model.score(g)).sum / m.length
+    val uMean = u.map(g => model.score(g)).sum / u.length
     assert(mMean > uMean)
   }
 
@@ -106,6 +106,6 @@ class EmSpec extends SparkSpec {
     val m1 = Em.fit(m ++ u)
     val m2 = Em.fit(m ++ u)
     assert(m1.p === m2.p)
-    assert(m1.score(m.head.toSeq) === m2.score(m.head.toSeq))
+    assert(m1.score(m.head) === m2.score(m.head))
   }
 }

@@ -17,8 +17,8 @@ class GcnSpec extends SparkSpec {
       ExpFamily.Exponential(20.0), ExpFamily.Exponential(20.0)),
   )
 
-  private val hiG = Seq(0.8, 0.5, 0.8, 0.5, 0.5, 0.5)
-  private val loG = Seq(0.1, 0.0, 0.1, 0.0, 0.0, 0.0)
+  private val hiG = Array(0.8, 0.5, 0.8, 0.5, 0.5, 0.5)
+  private val loG = Array(0.1, 0.0, 0.1, 0.0, 0.0, 0.0)
 
   test("scorePairs computes the broadcast model's log-odds per partition") {
     val pairs = Seq(

@@ -92,7 +92,7 @@ class IncrementalSpec extends SparkSpec {
   test("the profile fold builds new occurrences exactly as the hand-built reference") {
     val vertexPapers = authNew.select("pid", "name").distinct()
       .withColumn("vid", concat(col("name"), lit("#new"), col("pid")))
-    val folded = Profiles.fold(spark, vertexPapers, papersNew, authNew, Map.empty, wlIters = 2).collect()
+    val folded = Profiles.fold(spark, vertexPapers, papersNew, authNew, ScnBuilder.Graph.empty, wlIters = 2).collect()
     assert(folded.length === baseline.size)
     folded.foreach { p =>
       val ref = baseline((p.pids.head, p.name))
@@ -148,6 +148,20 @@ class IncrementalSpec extends SparkSpec {
     assert(theirs.contains(cluster) || cluster === s"$name#new888888", cluster)
   }
 
+  test("equal scores go to the smaller cluster id") {
+    val c = clusters.collect().filter(p => p.wordYears.nonEmpty && p.venues.nonEmpty).minBy(_.vid)
+    val (small, large) = (Model.Vid.instance(c.name, 900), Model.Vid.instance(c.name, 901))
+    val paper = Seq((777777L, c.wordYears.take(2).map(_._1), c.venues.head, 2012)).toDF("pid", "title", "venue", "year")
+    val auth = Seq((777777L, 4242L, c.name)).toDF("pid", "authorId", "name")
+    for (twins <- Seq(Seq(large, small), Seq(small, large))) {
+      val out = Incremental.disambiguate(spark, twins.map(v => c.copy(vid = v)).toDS(), paper, auth,
+        result.model, result.stats, delta = Double.NegativeInfinity).collect()
+      assert(out.length === 1)
+      assert(out(0).getDouble(3) > Double.NegativeInfinity, "the twins' score must be finite")
+      assert(out(0).getString(2) === small, twins)
+    }
+  }
+
   test("incremental respects argmax: assigned cluster has the best score") {
     // Re-compute scores for a few judged occurrences and verify argmax.
     val clusterArr = clusters.collect()
@@ -157,7 +171,7 @@ class IncrementalSpec extends SparkSpec {
       val pid = row.getLong(0); val name = row.getString(1); val cluster = row.getString(2)
       byName.get(name).foreach { cands =>
         val np = Similarity.Facts(baseline((pid, name)))
-        val scores = cands.map(c => c.vid -> result.model.score(Similarity.gamma(np, Similarity.Facts(c), result.stats).toSeq)).toMap
+        val scores = cands.map(c => c.vid -> result.model.score(Similarity.gamma(np, Similarity.Facts(c), result.stats))).toMap
         if (!cluster.contains("#new")) {
           val best = scores.values.max
           assert(math.abs(scores(cluster) - best) < 1e-9, s"$pid/$name not argmax")
@@ -195,7 +209,7 @@ object Baseline2 {
         wordYears = title.map(w => (w, year)),
         venues = Seq(venue),
         cliques = cliques,
-        wl = WlKernel.features(vid, Map.empty, Map.empty, 2),
+        wl = WlKernel.features(vid, name, Map.empty, Map.empty, 2),
       )
     }).toMap
   }

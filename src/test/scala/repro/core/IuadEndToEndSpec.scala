@@ -94,7 +94,7 @@ class IuadEndToEndSpec extends SparkSpec {
       val expected = parentPids(parent).filter(pid => Math.floorMod(pid + splitCfg.seed, 2L) == parity)
       assert(h.pids.toSet === expected, h.vid)
       assert(h.pids.size === expected.size, h.vid)
-      assert(h.wl === WlKernel.features(h.vid, Map.empty, Map.empty, splitCfg.wlIters), h.vid)
+      assert(h.wl === WlKernel.features(h.vid, h.name, Map.empty, Map.empty, splitCfg.wlIters), h.vid)
     }
   }
 
@@ -102,6 +102,26 @@ class IuadEndToEndSpec extends SparkSpec {
     val splitCfg = Iuad.Config(eta = 3, seed = 7L, splitMaxVertices = Int.MaxValue)
     val renamed = authDf.withColumn("name", concat(lit("x/s"), col("name")))
     val renamedScn = ScnBuilder.build(spark, renamed, splitCfg.eta)
+    val n = Iuad.splitVertexPairs(spark, result.scn, papersDf, authDf, result.stats, splitCfg).length
+    val nRenamed = Iuad.splitVertexPairs(spark, renamedScn, papersDf, renamed, result.stats, splitCfg).length
+    assert(n > 0)
+    assert(nRenamed === n)
+  }
+
+  test("names containing # keep every γ and every split pair") {
+    val splitCfg = Iuad.Config(eta = 3, seed = 7L, splitMaxVertices = Int.MaxValue)
+    val renamed = authDf.withColumn("name", concat(lit("x#"), col("name")))
+    val renamedScn = ScnBuilder.build(spark, renamed, splitCfg.eta)
+    val renamedProfiles = Profiles.build(spark, renamedScn, papersDf, renamed, splitCfg.wlIters)
+    val gammaOf = Similarity.candidatePairs(spark, renamedProfiles, result.stats).collect()
+      .map(p => (p.vi.drop(2), p.vj.drop(2)) -> p.g).toMap
+    val pairs = result.pairs.collect()
+    assert(pairs.nonEmpty)
+    assert(gammaOf.size === pairs.length)
+    pairs.foreach { p =>
+      val g = gammaOf((p.vi, p.vj))
+      (0 until Similarity.NumFeatures).foreach(k => assert(g(k) === p.g(k), s"γ${k + 1} of ${p.vi}, ${p.vj}"))
+    }
     val n = Iuad.splitVertexPairs(spark, result.scn, papersDf, authDf, result.stats, splitCfg).length
     val nRenamed = Iuad.splitVertexPairs(spark, renamedScn, papersDf, renamed, result.stats, splitCfg).length
     assert(n > 0)

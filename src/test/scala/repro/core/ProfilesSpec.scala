@@ -120,19 +120,19 @@ class ProfilesSpec extends SparkSpec with PropChecks {
     } yield pids.zip(ps).map { case (pid, (t, v, y, ns)) => (pid, t, v, y, ns) }
   }
 
-  private val adj = Map("a#c0" -> Array("b#c0"), "b#c0" -> Array("a#c0"))
+  private val graph = ScnBuilder.graph(Seq(("a", "b", 3L)))
 
   test("of does not depend on the order of its paper rows or of the names on a paper") {
     forAll(Gen.zip(paperRowsGen, Gen.long)) { case (rows, seed) =>
       val rnd = new scala.util.Random(seed)
       val shuffled = rnd.shuffle(rows).map(r => r.copy(_5 = rnd.shuffle(r._5)))
-      assert(Profiles.of("a#c0", "a", shuffled, adj, 2) === Profiles.of("a#c0", "a", rows, adj, 2))
+      assert(Profiles.of("a#c0", "a", shuffled, graph, 2) === Profiles.of("a#c0", "a", rows, graph, 2))
     }
   }
 
   test("of: cliques never contain the vertex's own name, and are canonical pairs") {
     forAll(paperRowsGen) { rows =>
-      Profiles.of("a#c0", "a", rows, adj, 2).cliques.foreach { c =>
+      Profiles.of("a#c0", "a", rows, graph, 2).cliques.foreach { c =>
         val Array(y, z) = c.split(Profiles.CliqueSep)
         assert(y != "a" && z != "a", c)
         assert(y < z, c)
@@ -145,9 +145,6 @@ class ProfilesSpec extends SparkSpec with PropChecks {
       .collect().map(p => p._1 -> p).toMap
     val namesOn = authDf.select("pid", "name").as[(Long, String)].collect()
       .groupBy(_._1).map { case (pid, rs) => pid -> rs.map(_._2).toSeq }
-    val scnAdj = scn.edges.select("src", "dst").as[(String, String)].collect()
-      .flatMap { case (s, d) => Seq(s -> d, d -> s) }
-      .groupBy(_._1).map { case (v, es) => v -> es.map(_._2).distinct.sorted }
     val byVid = scn.vertexPapers.select("vid", "name", "pid").as[(String, String, Long)].collect().groupBy(_._1)
     val folded = profiles.collect()
     assert(folded.length === byVid.size)
@@ -156,7 +153,7 @@ class ProfilesSpec extends SparkSpec with PropChecks {
         val (_, title, venue, year) = papers(pid)
         (pid, title, venue, year, namesOn(pid))
       }
-      assert(Profiles.of(p.vid, byVid(p.vid).head._2, rows, scnAdj, 2) === p, p.vid)
+      assert(Profiles.of(p.vid, byVid(p.vid).head._2, rows, scn.graph, 2) === p, p.vid)
     }
   }
 }

@@ -6,7 +6,7 @@ import org.scalacheck.Gen
 import repro.{Oracle, PropChecks, SparkSpec}
 import repro.dblp.DblpSynth
 import repro.util.UnionFind
-import Model.NeighborComp
+import Model.{NeighborComp, Vid}
 
 class ScnSpec extends SparkSpec with PropChecks {
   import spark.implicits._
@@ -129,10 +129,23 @@ class ScnSpec extends SparkSpec with PropChecks {
     val scn = ScnBuilder.build(spark, auth, 2)
     val vids = scn.vertices.select("vid").as[String].collect()
     assert(vids.length === vids.distinct.length)
-    val instances = graphOf(auth, 2).comps.map(c => (ScnBuilder.vidOfComp(c.name, c.comp), c.name)).toDF("vid", "name")
+    val instances = graphOf(auth, 2).comps.map(c => (Vid.instance(c.name, c.comp), c.name)).toDF("vid", "name")
     val deduped = scn.vertexPapers.select("vid", "name").union(instances).distinct()
     assert(scn.vertices.collect().toSet === deduped.collect().toSet)
     assert(vids.exists(_.contains("#c")) && vids.exists(_.contains("#p")))
+  }
+
+  test("the graph's adjacency and names agree with the edges and vertices") {
+    val (_, auth) = DblpSynth.generate(spark, DblpSynth.Config(sf = 0.002, seed = 3L))
+    val scn = ScnBuilder.build(spark, auth, 2)
+    val fromEdges = scn.edges.as[(String, String)].collect()
+      .flatMap { case (s, d) => Seq(s -> d, d -> s) }
+      .groupBy(_._1).map { case (v, es) => v -> es.map(_._2).distinct.sorted.toSeq }
+    assert(fromEdges.nonEmpty)
+    assert(scn.graph.adj.map { case (v, ns) => v -> ns.toSeq } === fromEdges)
+    val nameOf = scn.vertices.as[(String, String)].collect().toMap
+    scn.graph.names.foreach { case (vid, name) => assert(nameOf.get(vid) === Some(name), vid) }
+    assert(scn.graph.adj.keySet.subsetOf(scn.graph.names.keySet))
   }
 
   test("SCN stage alone is high precision on the synthetic corpus") {

@@ -134,9 +134,9 @@ class SimilaritySpec extends SparkSpec with PropChecks {
   test("all gammas are finite and non-negative on arbitrary profiles") {
     val p1 = prof("a#c0", pids = Seq(1, 2), wordYears = Seq(("rare", 2000), ("t0_w1", 2001)),
       venues = Seq("v0", "v1"), cliques = Seq(Profiles.encodeClique("x", "y")),
-      wl = WlKernel.features("a#c0", Map.empty, Map.empty, 2))
+      wl = WlKernel.features("a#c0", "a", Map.empty, Map.empty, 2))
     val p2 = prof("a#c1", pids = Seq(3), wordYears = Seq(("common", 1995)),
-      venues = Seq("gv0"), wl = WlKernel.features("a#c1", Map.empty, Map.empty, 2))
+      venues = Seq("gv0"), wl = WlKernel.features("a#c1", "a", Map.empty, Map.empty, 2))
     val g = Similarity.gamma(Facts(p1), Facts(p2), stats)
     g.foreach { x => assert(!x.isNaN && !x.isInfinite && x >= 0.0, s"bad gamma: ${g.toSeq}") }
   }
@@ -183,6 +183,7 @@ class SimilaritySpec extends SparkSpec with PropChecks {
       "b#c0" -> Array("a#c0", "a#c1", "c#c0"),
       "c#c0" -> Array("a#c0", "b#c0"),
     )
+    val names = Map("a#c0" -> "a", "a#c1" -> "a", "b#c0" -> "b", "c#c0" -> "c")
     for {
       vid <- Gen.oneOf("a#c0", "a#c1", "a#p7")
       pids <- Gen.choose(1, 6).flatMap(Gen.listOfN(_, Gen.choose(1L, 40L))).map(_.distinct.sorted)
@@ -190,7 +191,7 @@ class SimilaritySpec extends SparkSpec with PropChecks {
       nVenues <- Gen.oneOf(0, pids.size)
       vs <- Gen.listOfN(nVenues, Gen.oneOf(venues))
       cs <- Gen.someOf(cliques)
-      wl <- Gen.frequency(1 -> Gen.const(Map.empty[String, Int]), 4 -> Gen.const(WlKernel.features(vid, adj, Map.empty, 2)))
+      wl <- Gen.frequency(1 -> Gen.const(Map.empty[String, Int]), 4 -> Gen.const(WlKernel.features(vid, "a", adj, names, 2)))
     } yield VertexProfile(vid, "a", pids, wordYears, vs.sorted, cs.toSeq.sorted, wl)
   }
 

@@ -6,22 +6,31 @@ class WlKernelSpec extends SparkSpec {
 
   private val emptyAdj = Map.empty[String, Array[String]]
 
+  /** The name of every vid these tests use. */
+  private val names = Map(
+    "a#p1" -> "a", "a#p2" -> "a", "b#p1" -> "b",
+    "a#c0" -> "a", "a#c1" -> "a", "b#c0" -> "b", "b#c1" -> "b", "c#c0" -> "c", "d#c0" -> "d", "z#c0" -> "z",
+  )
+
+  private def features(vid: String, adj: Map[String, Array[String]], h: Int): Map[String, Int] =
+    WlKernel.features(vid, names(vid), adj, names, h)
+
   test("isolated vertex has one label per iteration") {
-    val f = WlKernel.features("a#p1", emptyAdj, Map.empty, 2)
+    val f = features("a#p1", emptyAdj, 2)
     assert(f.values.sum === 3) // iterations 0, 1, 2
     assert(f.keys.exists(_.contains("a")))
   }
 
   test("two isolated vertices of the same name have identical features") {
-    val f1 = WlKernel.features("a#p1", emptyAdj, Map.empty, 2)
-    val f2 = WlKernel.features("a#p2", emptyAdj, Map.empty, 2)
+    val f1 = features("a#p1", emptyAdj, 2)
+    val f2 = features("a#p2", emptyAdj, 2)
     assert(f1 === f2)
     assert(WlKernel.normalized(f1, f2) === 1.0)
   }
 
   test("isolated vertices of different names share no refined labels") {
-    val f1 = WlKernel.features("a#p1", emptyAdj, Map.empty, 2)
-    val f2 = WlKernel.features("b#p1", emptyAdj, Map.empty, 2)
+    val f1 = features("a#p1", emptyAdj, 2)
+    val f2 = features("b#p1", emptyAdj, 2)
     assert(WlKernel.kernel(f1, f2) === 0.0)
   }
 
@@ -30,13 +39,13 @@ class WlKernelSpec extends SparkSpec {
       "a#c0" -> Array("b#c0"),
       "b#c0" -> Array("a#c0"),
     )
-    val f = WlKernel.features("a#c0", adj, Map.empty, 0)
+    val f = features("a#c0", adj, 0)
     assert(f === Map("0|a" -> 1, "0|b" -> 1))
   }
 
   test("negative h is rejected") {
     intercept[IllegalArgumentException] {
-      WlKernel.features("a#c0", emptyAdj, Map.empty, -1)
+      features("a#c0", emptyAdj, -1)
     }
   }
 
@@ -46,8 +55,8 @@ class WlKernelSpec extends SparkSpec {
       "a#c0" -> Array("b#c0"), "b#c0" -> Array("a#c0"),
       "a#c1" -> Array("b#c1"), "b#c1" -> Array("a#c1"),
     )
-    val f0 = WlKernel.features("a#c0", adj, Map.empty, 2)
-    val f1 = WlKernel.features("a#c1", adj, Map.empty, 2)
+    val f0 = features("a#c0", adj, 2)
+    val f1 = features("a#c1", adj, 2)
     assert(math.abs(WlKernel.normalized(f0, f1) - 1.0) < 1e-12)
   }
 
@@ -57,11 +66,11 @@ class WlKernelSpec extends SparkSpec {
       "a#c1" -> Array("z#c0"), "z#c0" -> Array("a#c1"),
     )
     val same = WlKernel.normalized(
-      WlKernel.features("a#c0", adj, Map.empty, 2),
-      WlKernel.features("a#c0", adj, Map.empty, 2))
+      features("a#c0", adj, 2),
+      features("a#c0", adj, 2))
     val diff = WlKernel.normalized(
-      WlKernel.features("a#c0", adj, Map.empty, 2),
-      WlKernel.features("a#c1", adj, Map.empty, 2))
+      features("a#c0", adj, 2),
+      features("a#c1", adj, 2))
     assert(same === 1.0)
     assert(diff < same)
     assert(diff > 0.0) // both still contain label 'a'
@@ -74,8 +83,8 @@ class WlKernelSpec extends SparkSpec {
       "c#c0" -> Array("a#c0"),
       "d#c0" -> Array.empty[String],
     )
-    val f1 = WlKernel.features("a#c0", adj, Map.empty, 2)
-    val f2 = WlKernel.features("d#c0", adj, Map.empty, 2)
+    val f1 = features("a#c0", adj, 2)
+    val f2 = features("d#c0", adj, 2)
     assert(WlKernel.kernel(f1, f2) === WlKernel.kernel(f2, f1))
   }
 
@@ -89,15 +98,16 @@ class WlKernelSpec extends SparkSpec {
     )
     for (u <- adj.keys; v <- adj.keys) {
       val n = WlKernel.normalized(
-        WlKernel.features(u, adj, Map.empty, 2),
-        WlKernel.features(v, adj, Map.empty, 2))
+        features(u, adj, 2),
+        features(v, adj, 2))
       assert(n >= 0.0 && n <= 1.0 + 1e-12, s"$u,$v -> $n")
     }
   }
 
-  test("explicit label map overrides the vid prefix") {
-    val f = WlKernel.features("x#c0", emptyAdj, Map("x#c0" -> "relabeled"), 1)
-    assert(f.keys.exists(_.contains("relabeled")))
+  test("labels are the given names, never read from the vids") {
+    val adj = Map("x#c0" -> Array("y#c0"), "y#c0" -> Array("x#c0"))
+    val f = WlKernel.features("x#c0", "a#b", adj, Map("y#c0" -> "c"), 0)
+    assert(f === Map("0|a#b" -> 1, "0|c" -> 1))
   }
 
   test("normalized handles empty feature maps") {

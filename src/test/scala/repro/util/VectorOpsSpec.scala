@@ -59,15 +59,6 @@ class VectorOpsSpec extends SparkSpec with PropChecks {
     assert(m.toSeq === Seq(1.0, 3.0))
   }
 
-  test("euclidean distance is symmetric and zero on self") {
-    forAll(vecGen, vecGen) { (a, b) =>
-      whenever(a.length == b.length) {
-        assert(math.abs(VectorOps.euclidean(a, b) - VectorOps.euclidean(b, a)) < 1e-12)
-      }
-      assert(VectorOps.euclidean(a, a) === 0.0)
-    }
-  }
-
   test("scale multiplies componentwise") {
     assert(VectorOps.scale(Array(1.0, -2.0), 3.0).toSeq === Seq(3.0, -6.0))
   }
