@@ -12,22 +12,14 @@ import repro.exp.Experiments
 class TableIIBench extends BenchSpec {
 
   test("Table II: testing-set statistics") {
-    val t = Experiments.tableII(spark, Bench.corpus).cache()
-    val rows = t.collect()
+    val rows = Bench.record("II")(Experiments.tableII(spark, Bench.corpus))
     val totalNames = rows.length
-    val totalAuthors = rows.map(_.getLong(1)).sum
-    val totalPapers = rows.map(_.getLong(2)).sum
-
-    Bench.banner("Table II")
-    println(f"${"Name"}%-16s ${"#Authors_TD"}%12s ${"#Papers_TD"}%11s")
-    rows.take(20).foreach(r => println(f"${r.getString(0)}%-16s ${r.getLong(1)}%12d ${r.getLong(2)}%11d"))
-    if (rows.length > 20) println(s"... (${rows.length - 20} more names)")
-    println(s"Total: $totalNames names, $totalAuthors authors, $totalPapers papers")
-    println("Paper: 50 names, 336 authors, 1529 papers (2..17 authors/name)")
+    val totalAuthors = rows.map(_.authors).sum
+    val totalPapers = rows.map(_.papers).sum
 
     assert(totalNames >= 20, s"testing subset too small: $totalNames names")
     assert(totalAuthors >= 2L * totalNames, "ambiguous names must average >= 2 authors")
-    assert(rows.forall(r => r.getLong(1) >= 2 && r.getLong(1) <= 20),
+    assert(rows.forall(r => r.authors >= 2 && r.authors <= 20),
       "authors per name outside the plausible 2..20 band")
     assert(totalPapers > totalAuthors, "authors should average more than one paper")
   }

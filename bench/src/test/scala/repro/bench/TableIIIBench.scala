@@ -17,9 +17,7 @@ import repro.exp.Experiments
 class TableIIIBench extends BenchSpec {
 
   test("Table III: performance compared with baselines") {
-    val rows = Experiments.tableIII(spark, Bench.corpus)
-    Bench.banner("Table III")
-    rows.foreach(nm => println(f"${nm.group}%-12s ${Experiments.fmtMetrics(nm.algorithm, nm.m)}"))
+    val rows = Bench.record("III")(Experiments.tableIII(spark, Bench.corpus, Bench.iuad))
 
     val byName = rows.map(nm => nm.algorithm -> nm.m).toMap
     val iuad = byName("IUAD")

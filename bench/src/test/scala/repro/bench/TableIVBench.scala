@@ -11,14 +11,7 @@ import repro.exp.Experiments
 class TableIVBench extends BenchSpec {
 
   test("Table IV: effect of two stages") {
-    val (_, scn, gcn) = Bench.iuad
-    Bench.banner("Table IV")
-    println(Experiments.fmtMetrics("SCN", scn))
-    println(Experiments.fmtMetrics("GCN", gcn))
-    println(f"Improv.  A=${gcn.accuracy - scn.accuracy}%+.4f P=${gcn.precision - scn.precision}%+.4f " +
-      f"R=${gcn.recall - scn.recall}%+.4f F=${gcn.f1 - scn.f1}%+.4f")
-    println("Paper:   SCN A=0.6402 P=0.8662 R=0.4374 F=0.5813")
-    println("Paper:   GCN A=0.8174 P=0.8608 R=0.8113 F=0.8353 (R +0.3739, P -0.0054)")
+    val Seq(Experiments.StageEffect(scn, gcn)) = Bench.record("IV")(Seq(Experiments.tableIV(Bench.iuad)))
 
     assert(scn.precision > 0.85, s"SCN must be high precision: $scn")
     assert(scn.recall < 0.75, s"SCN recall must be the weak spot: $scn")

@@ -12,15 +12,7 @@ import repro.exp.Experiments
 class TableVIBench extends BenchSpec {
 
   test("Table VI: incremental performance and efficiency") {
-    val rows = Experiments.tableVI(spark, Bench.corpus, Seq(100, 200, 300))
-    Bench.banner("Table VI")
-    rows.foreach { r =>
-      println(s"-- ${r.nNew} new papers --")
-      println(Experiments.fmtMetrics("base", r.base))
-      println(Experiments.fmtMetrics("combined", r.combined))
-      println(f"avg time per paper: ${r.avgMsPerPaper}%.2f ms")
-    }
-    println("Paper: MicroF 0.8315->0.8218 (100), 0.8268->0.8252 (200), 0.8348->0.8255 (300); 45-48 ms/paper")
+    val rows = Bench.record("VI")(Experiments.tableVI(spark, Bench.corpus, Seq(100, 200, 300)))
 
     rows.foreach { r =>
       assert(r.base.f1 > 0.5, s"base GCN too weak: ${r.base}")

@@ -56,9 +56,7 @@ object Baselines {
 
   /** Run a clusterer over every name group.
     *
-    * @return (pid, name, cluster, nanosPerName) — `cluster` is globally
-    *         unique across names; `nanos` is the per-name wall time, repeated
-    *         on each of the name's rows (used for Table V).
+    * @return (pid, name, cluster) — `cluster` is globally unique across names
     */
   def run(
       spark: SparkSession,
@@ -76,11 +74,9 @@ object Baselines {
         val recs = it.map { case (_, pid, title, venue, year, allNames) =>
           PaperRec(pid, allNames.filterNot(_ == name), title, venue, year)
         }.toIndexedSeq.sortBy(_.pid)
-        val t0 = System.nanoTime()
         val labels = clusterer.clusterName(recs)
-        val nanos = System.nanoTime() - t0
-        recs.indices.map(i => (recs(i).pid, name, s"$name::${labels(i)}", nanos))
+        recs.indices.map(i => (recs(i).pid, name, s"$name::${labels(i)}"))
       }
-      .toDF("pid", "name", "cluster", "nanos")
+      .toDF("pid", "name", "cluster")
   }
 }

@@ -33,14 +33,6 @@ object Em {
 
     /** Matching score sc_j = log(P(M|γ)/P(U|γ)) (Eq. 11). */
     def score(g: Array[Double]): Double = logLikM(g) - logLikU(g)
-
-    /** Responsibility P(r ∈ M | γ). */
-    def responsibility(g: Array[Double]): Double = {
-      val m = logLikM(g); val u = logLikU(g)
-      val hi = math.max(m, u)
-      val em = math.exp(m - hi); val eu = math.exp(u - hi)
-      em / (em + eu)
-    }
   }
 
   /** Default per-feature families: γ1/γ3 are bounded cosines (Gaussian);
@@ -101,7 +93,7 @@ object Em {
         val hi = math.max(m, u)
         val em = math.exp(m - hi); val eu = math.exp(u - hi)
         ll += hi + math.log(em + eu)
-        l(j) = if (j >= nFree) 1.0 else em / (em + eu) // responsibility(g)
+        l(j) = if (j >= nFree) 1.0 else em / (em + eu)
         j += 1
       }
       // M-step

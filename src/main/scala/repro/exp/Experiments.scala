@@ -1,15 +1,22 @@
 package repro.exp
 
+import java.io.File
+import java.nio.charset.StandardCharsets
+import java.nio.file.Files
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
+import org.json4s.{CustomSerializer, DefaultFormats, Formats}
+import org.json4s.JsonDSL._
+import org.json4s.jackson.Serialization
 import repro.core._
 import repro.core.Model.Metrics
 import repro.baselines._
 import repro.dblp.DblpSynth
 
-/** Shared harness for the paper's evaluation tables (II–VI). Jobs under
-  * `jobs/` and the bench suites under `bench/` are thin wrappers that call
-  * these and print paper-vs-measured rows (recorded in EXPERIMENTS.md).
+/** The paper's evaluation tables (II–VI): each table is the rows one
+  * function returns, and [[write]] records them as `BENCH_<table>.json`. The
+  * job `repro.jobs.Tables` and the bench suites under `bench/` both call
+  * these; EXPERIMENTS.md sets the recorded rows next to the paper's numbers.
   */
 object Experiments {
 
@@ -40,86 +47,93 @@ object Experiments {
     Corpus(papers, auth, Evaluation.ambiguousNames(auth).cache(), c.cfg)
   }
 
+  /** Runs `body` and returns its value with its wall time in seconds. */
+  def timed[T](body: => T): (T, Double) = {
+    val t0 = System.nanoTime()
+    val v = body
+    (v, (System.nanoTime() - t0) / 1e9)
+  }
+
+  /** Pairwise micro metrics of `assignment` over the corpus's testing names. */
+  def evaluate(spark: SparkSession, c: Corpus, assignment: DataFrame): Metrics =
+    Evaluation.pairwiseMicro(spark, assignment, c.auth, Some(c.evalNames))
+
   // ---------------------------------------------------------------- Table II
+
+  final case class NameStats(name: String, authors: Long, papers: Long)
 
   /** Descriptive statistics of the testing (ambiguous-name) subset: per name,
     * the number of true authors and papers — the analogue of Table II.
     */
-  def tableII(spark: SparkSession, c: Corpus): DataFrame = {
+  def tableII(spark: SparkSession, c: Corpus): Seq[NameStats] = {
+    import spark.implicits._
     c.auth
       .join(c.evalNames, Seq("name"))
       .groupBy("name")
-      .agg(
-        countDistinct("authorId").as("authors_td"),
-        countDistinct("pid").as("papers_td"),
-      )
-      .orderBy(desc("authors_td"), col("name"))
+      .agg(countDistinct("authorId").as("authors"), countDistinct("pid").as("papers"))
+      .orderBy(desc("authors"), col("name"))
+      .as[NameStats]
+      .collect()
+      .toSeq
   }
 
   // --------------------------------------------------------------- Table III
 
   final case class NamedMetrics(algorithm: String, group: String, m: Metrics)
 
-  def runIuad(spark: SparkSession, c: Corpus, cfg: Iuad.Config = Iuad.Config()): (Iuad.Result, Metrics, Metrics) = {
+  /** One IUAD run and its SCN-only and GCN metrics; Tables III and IV share it. */
+  final case class IuadRun(result: Iuad.Result, scn: Metrics, gcn: Metrics)
+
+  def runIuad(spark: SparkSession, c: Corpus, cfg: Iuad.Config = Iuad.Config()): IuadRun = {
     val r = Iuad.run(spark, c.papers, c.auth, cfg)
-    val scn = Evaluation.pairwiseMicro(spark, r.scnAssignment, c.auth, Some(c.evalNames))
-    val gcn = Evaluation.pairwiseMicro(spark, r.assignment, c.auth, Some(c.evalNames))
-    (r, scn, gcn)
+    IuadRun(r, evaluate(spark, c, r.scnAssignment), evaluate(spark, c, r.assignment))
   }
 
   def unsupervisedClusterers: Seq[Baselines.NameClusterer] =
     Seq(Unsupervised.Anon(), Unsupervised.NetE(), Unsupervised.AminerB(), Unsupervised.Ghost())
 
-  def runUnsupervised(spark: SparkSession, c: Corpus, clusterer: Baselines.NameClusterer): (Metrics, Double) = {
-    val out = Baselines.run(spark, c.papers, c.auth, clusterer, Some(c.evalNames)).cache()
-    val m = Evaluation.pairwiseMicro(spark, out.select("pid", "name", "cluster"), c.auth, Some(c.evalNames))
-    val avgNanos = out.select("name", "nanos").distinct()
-      .agg(avg(col("nanos"))).collect()(0).getDouble(0)
-    out.unpersist()
-    (m, avgNanos / 1e9)
-  }
+  def runUnsupervised(spark: SparkSession, c: Corpus, clusterer: Baselines.NameClusterer): Metrics =
+    evaluate(spark, c, Baselines.run(spark, c.papers, c.auth, clusterer, Some(c.evalNames)))
 
   def runSupervised(spark: SparkSession, c: Corpus, algo: String): Metrics = {
     val pairs = Supervised.labeledPairs(spark, c.papers, c.auth, c.evalNames)
     Supervised.crossPredict(pairs, algo)
   }
 
-  /** All nine Table III rows. */
-  def tableIII(spark: SparkSession, c: Corpus, iuadCfg: Iuad.Config = Iuad.Config()): Seq[NamedMetrics] = {
+  /** All nine Table III rows; IUAD's is the GCN of the given run on `c`. */
+  def tableIII(spark: SparkSession, c: Corpus, iuad: IuadRun): Seq[NamedMetrics] = {
     val sup = Seq("adaboost" -> "AdaBoost", "gbdt" -> "GBDT", "rf" -> "RF", "xgboost" -> "XGBoost")
       .map { case (key, label) => NamedMetrics(label, "Supervised", runSupervised(spark, c, key)) }
     val unsup = unsupervisedClusterers.map { cl =>
-      NamedMetrics(cl.id, "Unsupervised", runUnsupervised(spark, c, cl)._1)
+      NamedMetrics(cl.id, "Unsupervised", runUnsupervised(spark, c, cl))
     }
-    val (_, _, gcn) = runIuad(spark, c, iuadCfg)
-    sup ++ unsup :+ NamedMetrics("IUAD", "Our", gcn)
+    sup ++ unsup :+ NamedMetrics("IUAD", "Our", iuad.gcn)
   }
 
   // ---------------------------------------------------------------- Table IV
 
-  final case class StageEffect(scn: Metrics, gcn: Metrics) {
-    def improvements: Seq[(String, Double, Double, Double)] = Seq(
-      ("MicroA", scn.accuracy, gcn.accuracy, gcn.accuracy - scn.accuracy),
-      ("MicroP", scn.precision, gcn.precision, gcn.precision - scn.precision),
-      ("MicroR", scn.recall, gcn.recall, gcn.recall - scn.recall),
-      ("MicroF", scn.f1, gcn.f1, gcn.f1 - scn.f1),
-    )
-  }
+  final case class StageEffect(scn: Metrics, gcn: Metrics)
 
-  def tableIV(spark: SparkSession, c: Corpus, cfg: Iuad.Config = Iuad.Config()): StageEffect = {
-    val (_, scn, gcn) = runIuad(spark, c, cfg)
-    StageEffect(scn, gcn)
-  }
+  def tableIV(iuad: IuadRun): StageEffect = StageEffect(iuad.scn, iuad.gcn)
 
   // ----------------------------------------------------------------- Table V
 
-  final case class TimingRow(algorithm: String, fraction: Double, secondsPerName: Double)
+  /** `quality` is IUAD's SCN and GCN metrics at this fraction (Fig. 5); the
+    * baselines are timed only.
+    */
+  final case class TimingRow(
+      algorithm: String,
+      fraction: Double,
+      secondsPerName: Double,
+      quality: Option[StageEffect],
+  )
 
-  /** Average disambiguation time per name at increasing data fractions.
-    * Baselines: mean per-name wall time over the testing names. IUAD: full
-    * two-stage pipeline wall time divided by the number of testing names
-    * (IUAD disambiguates the whole corpus in one pass — chargeable time per
-    * testing name is the conservative upper bound).
+  /** Average disambiguation time per testing name at increasing data
+    * fractions. Every method is charged the wall time of its whole run,
+    * materialised, divided by the number of testing names: a baseline's
+    * `Baselines.run` over the testing names, and IUAD's two-stage pipeline
+    * over all names (so IUAD's charge is an upper bound). IUAD's metrics are
+    * computed outside the timed span.
     */
   def tableV(
       spark: SparkSession,
@@ -131,29 +145,18 @@ object Experiments {
       val sub = subsample(c, f)
       val nEval = math.max(1L, sub.evalNames.count())
       val baselineRows = unsupervisedClusterers.map { cl =>
-        val (_, secs) = runUnsupervised(spark, sub, cl)
-        TimingRow(cl.id, f, secs)
+        val (_, secs) = timed(Baselines.run(spark, sub.papers, sub.auth, cl, Some(sub.evalNames)).count())
+        TimingRow(cl.id, f, secs / nEval, None)
       }
-      val t0 = System.nanoTime()
-      val r = Iuad.run(spark, sub.papers, sub.auth, iuadCfg)
-      r.assignment.count() // force the full pipeline
-      val iuadSecs = (System.nanoTime() - t0) / 1e9 / nEval
-      baselineRows :+ TimingRow("IUAD", f, iuadSecs)
+      val (r, secs) = timed {
+        val r = Iuad.run(spark, sub.papers, sub.auth, iuadCfg)
+        r.assignment.count() // force the full pipeline
+        r
+      }
+      val quality = StageEffect(evaluate(spark, sub, r.scnAssignment), evaluate(spark, sub, r.assignment))
+      baselineRows :+ TimingRow("IUAD", f, secs / nEval, Some(quality))
     }
   }
-
-  /** Fig 5 companion: SCN/GCN quality vs data fraction. */
-  def dataScaleQuality(
-      spark: SparkSession,
-      c: Corpus,
-      fractions: Seq[Double] = Seq(0.2, 0.4, 0.6, 0.8, 1.0),
-      cfg: Iuad.Config = Iuad.Config(),
-  ): Seq[(Double, Metrics, Metrics)] =
-    fractions.map { f =>
-      val sub = subsample(c, f)
-      val (_, scn, gcn) = runIuad(spark, sub, cfg)
-      (f, scn, gcn)
-    }
 
   // ---------------------------------------------------------------- Table VI
 
@@ -198,14 +201,44 @@ object Experiments {
       val nOcc = judged.count()
       val wallMs = (System.nanoTime() - t0) / 1e6
       val combinedAssign = r.assignment.unionByName(judged.select("pid", "name", "cluster"))
-      val combined = Evaluation.pairwiseMicro(spark, combinedAssign, c.auth, Some(c.evalNames))
+      val combined = evaluate(spark, c, combinedAssign)
       papersOld.unpersist(); authOld.unpersist(); clusters.unpersist()
       IncrementalRow(held.size.toLong, base, combined, wallMs / math.max(1L, nOcc))
     }
   }
 
-  // -------------------------------------------------------------- formatting
+  // ------------------------------------------------------------------ output
 
-  def fmtMetrics(label: String, m: Metrics): String =
-    f"$label%-10s MicroA=${m.accuracy}%.4f MicroP=${m.precision}%.4f MicroR=${m.recall}%.4f MicroF=${m.f1}%.4f"
+  /** Metrics as their counts plus the four micro measures. */
+  private object MetricsJson extends CustomSerializer[Metrics](_ => (PartialFunction.empty, {
+    case m: Metrics =>
+      ("tp" -> m.tp) ~ ("fp" -> m.fp) ~ ("fn" -> m.fn) ~ ("tn" -> m.tn) ~
+        ("accuracy" -> m.accuracy) ~ ("precision" -> m.precision) ~ ("recall" -> m.recall) ~ ("f1" -> m.f1)
+  }))
+
+  private final case class Report(
+      table: String,
+      sf: Double,
+      seed: Long,
+      cores: Int,
+      shufflePartitions: Int,
+      wallS: Double,
+      rows: Seq[AnyRef],
+  )
+
+  /** Writes `rows` of `table` (II..VI), measured on `c` in `wallS` seconds,
+    * to `dir/BENCH_<table>.json` together with the corpus's scale factor and
+    * seed and the session's cores and shuffle partitions.
+    */
+  def write(table: String, c: Corpus, wallS: Double, rows: Seq[AnyRef], dir: File): File = {
+    val spark = c.papers.sparkSession
+    val report = Report(
+      table, c.cfg.sf, c.cfg.seed, spark.sparkContext.defaultParallelism,
+      spark.conf.get("spark.sql.shuffle.partitions").toInt, wallS, rows,
+    )
+    implicit val formats: Formats = DefaultFormats + MetricsJson
+    val out = new File(dir, s"BENCH_$table.json")
+    Files.write(out.toPath, (Serialization.writePretty(report) + "\n").getBytes(StandardCharsets.UTF_8))
+    out
+  }
 }

@@ -78,13 +78,4 @@ class UnsupervisedSpec extends SparkSpec {
     val m = Evaluation.pairwiseMicro(spark, out.select("pid", "name", "cluster"), auth, Some(evalNames))
     assert(m.f1 > 0.05 && m.f1 < 1.0, s"ANON metrics out of sane band: $m")
   }
-
-  test("per-name timing is recorded") {
-    val cfg = DblpSynth.Config(sf = 0.002, seed = 35L)
-    val (papers, auth) = DblpSynth.generate(spark, cfg)
-    val evalNames = Evaluation.ambiguousNames(auth)
-    val out = Baselines.run(spark, papers, auth, Unsupervised.Ghost(), Some(evalNames))
-    val negative = out.filter(col("nanos") <= 0).count()
-    assert(negative === 0L)
-  }
 }

@@ -66,15 +66,6 @@ class EmSpec extends SparkSpec {
     assert(mMean > uMean)
   }
 
-  test("responsibility is a probability") {
-    val (m, u) = synth(30, 100, 5L)
-    val model = Em.fit(m ++ u)
-    (m ++ u).foreach { g =>
-      val r = model.responsibility(g)
-      assert(r >= 0.0 && r <= 1.0)
-    }
-  }
-
   test("score = logLikM - logLikU identity") {
     val (m, u) = synth(20, 60, 6L)
     val model = Em.fit(m ++ u)

@@ -1,5 +1,8 @@
 package repro.exp
 
+import java.nio.file.Files
+import org.json4s._
+import org.json4s.jackson.JsonMethods.parse
 import repro.SparkSpec
 
 /** Harness smoke tests at tiny scale — the real numbers come from
@@ -8,6 +11,7 @@ import repro.SparkSpec
 class ExperimentsSpec extends SparkSpec {
 
   private lazy val c = Experiments.corpus(spark, sf = 0.003, seed = 42L)
+  private lazy val iuad = Experiments.runIuad(spark, c)
 
   test("corpus materialises papers, authorships and eval names") {
     assert(c.papers.count() > 0)
@@ -28,25 +32,24 @@ class ExperimentsSpec extends SparkSpec {
   }
 
   test("tableII reports per-name author and paper counts") {
-    val t = Experiments.tableII(spark, c).collect()
+    val t = Experiments.tableII(spark, c)
     assert(t.nonEmpty)
     t.foreach { r =>
-      assert(r.getLong(1) >= 2, s"eval name ${r.getString(0)} not ambiguous")
-      assert(r.getLong(2) >= r.getLong(1), "papers >= authors per name")
+      assert(r.authors >= 2, s"eval name ${r.name} not ambiguous")
+      assert(r.papers >= r.authors, "papers >= authors per name")
     }
   }
 
   test("runIuad returns SCN and GCN metrics with the Table IV ordering") {
-    val (_, scn, gcn) = Experiments.runIuad(spark, c)
+    val Experiments.StageEffect(scn, gcn) = Experiments.tableIV(iuad)
     assert(scn.precision > gcn.precision - 0.15)
     assert(gcn.recall >= scn.recall)
     assert(gcn.f1 >= scn.f1 - 1e-9)
   }
 
-  test("runUnsupervised returns metrics and positive per-name seconds") {
-    val (m, secs) = Experiments.runUnsupervised(spark, c, repro.baselines.Unsupervised.Anon())
+  test("runUnsupervised returns metrics over the testing names") {
+    val m = Experiments.runUnsupervised(spark, c, repro.baselines.Unsupervised.Anon())
     assert(m.tp + m.fp + m.fn + m.tn > 0)
-    assert(secs > 0.0)
   }
 
   test("runSupervised covers all labelled pairs") {
@@ -62,13 +65,35 @@ class ExperimentsSpec extends SparkSpec {
     assert(rows.head.base.tp + rows.head.base.tn > 0)
   }
 
-  test("dataScaleQuality returns one row per fraction") {
-    val q = Experiments.dataScaleQuality(spark, c, Seq(0.5, 1.0))
-    assert(q.map(_._1) === Seq(0.5, 1.0))
+  test("tableV times every method per fraction and evaluates IUAD's stages") {
+    val fractions = Seq(0.3, 0.6)
+    val rows = Experiments.tableV(spark, c, fractions)
+    val methods = Experiments.unsupervisedClusterers.map(_.id) :+ "IUAD"
+    assert(rows.map(r => (r.fraction, r.algorithm)) === fractions.flatMap(f => methods.map(m => (f, m))))
+    rows.foreach { r =>
+      assert(r.secondsPerName > 0.0, s"$r")
+      assert(r.quality.isDefined === (r.algorithm == "IUAD"), s"$r")
+    }
+    rows.flatMap(_.quality).foreach(q => assert(q.gcn.tp + q.gcn.fp + q.gcn.fn + q.gcn.tn > 0))
   }
 
-  test("fmtMetrics renders all four micro measures") {
-    val s = Experiments.fmtMetrics("x", repro.core.Model.Metrics(1, 1, 1, 1))
-    assert(s.contains("MicroA") && s.contains("MicroP") && s.contains("MicroR") && s.contains("MicroF"))
+  test("write emits JSON that parses back with sf, seed and one entry per row") {
+    val dir = Files.createTempDirectory("experiments").toFile
+    val names = Experiments.tableII(spark, c)
+    val json = parse(Experiments.write("II", c, 1.5, names, dir))
+    assert(json \ "table" === JString("II"))
+    assert(json \ "sf" === JDouble(0.003))
+    assert(json \ "seed" === JInt(42))
+    assert(json \ "wallS" === JDouble(1.5))
+    assert((json \ "rows").children.length === names.length)
+    assert(json \ "rows" \ "name" === JArray(names.map(r => JString(r.name)).toList))
+
+    val stages = Experiments.tableIV(iuad)
+    val row = parse(Experiments.write("IV", c, 0.0, Seq(stages), dir)) \ "rows"
+    val gcn = row(0) \ "gcn"
+    assert(Seq("accuracy", "precision", "recall", "f1").map(gcn \ _) ===
+      Seq(stages.gcn.accuracy, stages.gcn.precision, stages.gcn.recall, stages.gcn.f1).map(JDouble(_)))
+    assert(row(0) \ "scn" \ "tp" === JInt(stages.scn.tp))
+    dir.listFiles().foreach(_.delete()); dir.delete()
   }
 }
