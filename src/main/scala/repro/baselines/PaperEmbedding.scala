@@ -1,8 +1,8 @@
 package repro.baselines
 
+import repro.core.Model.PaperRec
 import repro.dblp.WordVectors
 import repro.util.{Rng, VectorOps}
-import Baselines.PaperRec
 
 /** Feature-hashed paper embeddings — the offline stand-in for the neural
   * paper embeddings of ANON/NetE/Aminer (DESIGN.md §5.4).

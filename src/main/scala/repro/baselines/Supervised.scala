@@ -1,11 +1,9 @@
 package repro.baselines
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
-import repro.core.Model.Metrics
+import repro.core.Model.{Metrics, PaperRec, occurrencePapers}
 import repro.dblp.WordVectors
 import repro.util.{Rng, VectorOps}
-import Baselines.PaperRec
 
 /** Supervised pairwise baselines (§VI-A.3(ii)): AdaBoost / GBDT / RF /
   * XGBoost-like classifiers over Treeratpituk-&-Giles-style features of
@@ -29,9 +27,7 @@ object Supervised {
     val unionT = tp.union(tq).size.toDouble
     val jacT = if (unionT == 0) 0.0 else commonT / unionT
 
-    def center(ws: Set[String]): Option[Array[Double]] =
-      if (ws.isEmpty) None else Some(VectorOps.mean(ws.toSeq.map(WordVectors.vector(_))))
-    val cosT = (center(tp), center(tq)) match {
+    val cosT = (WordVectors.center(tp.toSeq), WordVectors.center(tq.toSeq)) match {
       case (Some(a), Some(b)) => VectorOps.cosine(a, b)
       case _                  => 0.0
     }
@@ -52,7 +48,8 @@ object Supervised {
   )
 
   /** All labelled same-name pairs for the given names, collected to the
-    * driver (testing-set scale: a few thousand pairs).
+    * driver (testing-set scale: a few thousand pairs). Each name's papers are
+    * taken in (pid, author id) order.
     */
   def labeledPairs(
       spark: SparkSession,
@@ -61,30 +58,19 @@ object Supervised {
       names: DataFrame,
   ): Array[LabeledPair] = {
     import spark.implicits._
-    val occ = authorships.select("pid", "name", "authorId").distinct().join(names, Seq("name"))
-    val coLists = authorships
-      .select("pid", "name")
-      .distinct()
-      .groupBy("pid")
-      .agg(collect_list("name").as("allNames"))
-    occ
-      .join(papers.select("pid", "title", "venue", "year"), Seq("pid"))
-      .join(coLists, Seq("pid"))
-      .select("name", "pid", "authorId", "title", "venue", "year", "allNames")
-      .as[(String, Long, Long, Seq[String], String, Int, Seq[String])]
-      .groupByKey(_._1)
+    val occurrences = authorships.select("pid", "name", "authorId").distinct().join(names, Seq("name"))
+    occurrencePapers[Long](occurrences.select("authorId", "name", "pid"), papers, authorships)
+      .groupByKey(_.name)
       .flatMapGroups { (name, it) =>
-        val rows = it.toIndexedSeq.sortBy(_._2)
-        val recs = rows.map { case (_, pid, _, title, venue, year, allNames) =>
-          PaperRec(pid, allNames.filterNot(_ == name), title, venue, year)
-        }
+        val rows = it.toIndexedSeq.sortBy(o => (o.pid, o.key))
+        val recs = rows.map(_.paper)
         for {
           i <- rows.indices.iterator
           j <- ((i + 1) until rows.size).iterator
         } yield LabeledPair(
-          name, rows(i)._2, rows(j)._2,
+          name, rows(i).pid, rows(j).pid,
           pairFeatures(recs(i), recs(j)),
-          if (rows(i)._3 == rows(j)._3) 1 else 0,
+          if (rows(i).key == rows(j).key) 1 else 0,
         )
       }
       .collect()

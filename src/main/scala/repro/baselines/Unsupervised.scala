@@ -1,6 +1,7 @@
 package repro.baselines
 
-import Baselines.{NameClusterer, PaperRec}
+import repro.core.Model.PaperRec
+import Baselines.NameClusterer
 
 /** The four unsupervised comparison methods (§VI-A.3(i)), each reimplemented
   * as a top-down per-name (ego-network) clusterer — faithfully keeping the

@@ -66,8 +66,8 @@ object Incremental {
     } yield {
       val t0 = System.nanoTime()
       val vid = Vid.newOccurrence(name, pid)
-      val facts = Similarity.Facts(
-        Profiles.of(vid, name, Seq((pid, title, venue, year, onPaper)), ScnBuilder.Graph.empty, wlIters))
+      val paper = Occurrence(vid, name, pid, title, venue, year, onPaper).paper
+      val facts = Similarity.Facts(Profiles.of(vid, name, Seq(paper), ScnBuilder.Graph.empty, wlIters))
       val clusters = clustersOf.getOrElse(name, Array.empty[(String, Similarity.Facts)])
       // A strictly higher score wins; equal scores go to the smaller cluster id.
       val (bestScore, best) = clusters.foldLeft((Double.NegativeInfinity, vid)) { case ((bs, bc), (cid, cf)) =>

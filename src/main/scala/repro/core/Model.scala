@@ -1,9 +1,12 @@
 package repro.core
 
-import org.apache.spark.sql.{Column, DataFrame}
-import org.apache.spark.sql.functions.{concat, lit, pmod, when}
+import scala.reflect.runtime.universe.TypeTag
+import org.apache.spark.sql.{Column, DataFrame, Dataset}
+import org.apache.spark.sql.functions.{collect_set, concat, lit, pmod, when}
 
-/** Shared row types of the IUAD pipeline. */
+/** Shared row types of the IUAD pipeline and the baselines, and the one
+  * Spark loader of author occurrences with their papers.
+  */
 object Model {
 
   /** Every vertex id, spelled only here. No code reads a name back from an
@@ -29,7 +32,10 @@ object Model {
   /** The stable collaboration network (Stage I output).
     *
     * @param vertices     (vid, name)
-    * @param edges        (src, dst) instance-level SCR edges: `graph.edges`
+    * @param edges        (src, dst) instance-level SCR edges: `graph.edges`.
+    *                     No `src/main` code reads it; it is kept only because
+    *                     the benchmark builds an `Scn` with it, and goes with
+    *                     the benchmark's next change
     * @param vertexPapers (vid, name, pid)
     * @param graph        the instance level, built on the driver
     */
@@ -39,6 +45,41 @@ object Model {
       vertexPapers: DataFrame,
       graph: ScnBuilder.Graph,
   )
+
+  /** One paper as seen from one author occurrence: what a vertex profile
+    * (§V-B) and a baseline's per-name clustering (§VI-A.3) read of it.
+    * `coNames` are the paper's distinct names other than the occurrence's,
+    * sorted; [[Occurrence.paper]] is the only rule for them.
+    */
+  final case class PaperRec(pid: Long, coNames: Seq[String], title: Seq[String], venue: String, year: Int)
+
+  /** Author occurrence `name` of paper `pid`, with the paper's attributes and
+    * every name on it. `key` is what the caller groups or labels by: a vid,
+    * the name itself or a true author id.
+    */
+  final case class Occurrence[K](key: K, name: String, pid: Long, title: Seq[String], venue: String, year: Int,
+      names: Seq[String]) {
+    def paper: PaperRec = PaperRec(pid, names.filter(_ != name).distinct.sorted, title, venue, year)
+  }
+
+  /** (pid, names): the distinct names on each paper of `authorships`. */
+  def namesOnPaper(authorships: DataFrame): DataFrame =
+    authorships.groupBy("pid").agg(collect_set("name").as("names"))
+
+  /** The occurrence table `(key, name, pid)`, by position, joined to the
+    * paper attributes and to [[namesOnPaper]]: the one loader of
+    * [[Occurrence]]s. A pid missing from `papers` or `authorships` drops its rows.
+    */
+  def occurrencePapers[K: TypeTag](occurrences: DataFrame, papers: DataFrame, authorships: DataFrame)
+      : Dataset[Occurrence[K]] = {
+    val spark = occurrences.sparkSession
+    import spark.implicits._
+    occurrences.toDF("key", "name", "pid")
+      .join(papers, Seq("pid"))
+      .join(namesOnPaper(authorships), Seq("pid"))
+      .select("key", "name", "pid", "title", "venue", "year", "names")
+      .as[Occurrence[K]]
+  }
 
   /** Everything the six similarity functions need about one vertex: an SCN
     * vertex, a split half or a new occurrence, all built by [[Profiles.of]].

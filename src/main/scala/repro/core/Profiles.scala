@@ -1,19 +1,19 @@
 package repro.core
 
 import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
-import org.apache.spark.sql.functions._
 import Model._
 
-/** Builds every [[Model.VertexProfile]] from paper rows with the pure [[of]]:
+/** Builds every [[Model.VertexProfile]] from its papers, each a
+  * [[Model.PaperRec]] seen from the vertex's name, with the pure [[of]]:
   * SCN vertices and the halves of a split vertex (§V-F.2) through the Spark
   * [[fold]], new-paper occurrences (§V-E) on the driver in
   * [[Incremental.disambiguate]].
   *
-  * The fold joins paper attributes and each paper's author names to the
-  * vertices, then calls [[of]] in a `groupByKey(vid).mapGroups`. WL needs the
-  * instance-level SCN adjacency and names, which are SCR-derived and
-  * therefore small: [[ScnBuilder.graph]] builds them on the driver, and they
-  * ship with the fold's tasks.
+  * The fold reads its papers through [[Model.occurrencePapers]], the loader
+  * the baselines share, then calls [[of]] in a `groupByKey(vid).mapGroups`.
+  * WL needs the instance-level SCN adjacency and names, which are
+  * SCR-derived and therefore small: [[ScnBuilder.graph]] builds them on the
+  * driver, and they ship with the fold's tasks.
   */
 object Profiles {
 
@@ -23,9 +23,6 @@ object Profiles {
   def encodeClique(y: String, z: String): String =
     if (y < z) s"$y$CliqueSep$z" else s"$z$CliqueSep$y"
 
-  /** One paper of a vertex: (pid, title words, venue, year, distinct names on the paper). */
-  type PaperRow = (Long, Seq[String], String, Int, Seq[String])
-
   /** The profile of vertex `vid` of name `name` from its papers, in any order.
     *
     * @param graph the SCN instance graph WL runs on; a vid with no edge in
@@ -34,23 +31,23 @@ object Profiles {
   def of(
       vid: String,
       name: String,
-      papers: Seq[PaperRow],
+      papers: Seq[PaperRec],
       graph: ScnBuilder.Graph,
       wlIters: Int,
   ): VertexProfile = {
     // pid order: γ3 sums word vectors in wordYears order, which must not
     // depend on the order the rows arrive in.
-    val rows = papers.sortBy(_._1)
-    val cliques = rows.flatMap { row =>
-      val cs = row._5.filterNot(_ == name).sorted
+    val rows = papers.sortBy(_.pid)
+    val cliques = rows.flatMap { p =>
+      val cs = p.coNames
       for (i <- cs.indices; j <- (i + 1) until cs.size) yield encodeClique(cs(i), cs(j))
     }.distinct.sorted
     VertexProfile(
       vid = vid,
       name = name,
-      pids = rows.map(_._1),
-      wordYears = rows.flatMap(row => row._2.map(w => (w, row._4))),
-      venues = rows.map(_._3).sorted,
+      pids = rows.map(_.pid),
+      wordYears = rows.flatMap(p => p.title.map(w => (w, p.year))),
+      venues = rows.map(_.venue).sorted,
       cliques = cliques,
       wl = WlKernel.features(vid, name, graph.adj, graph.names, wlIters),
     )
@@ -68,18 +65,11 @@ object Profiles {
       wlIters: Int,
   ): Dataset[VertexProfile] = {
     import spark.implicits._
-    val namesOnPaper = authorships
-      .groupBy("pid")
-      .agg(collect_set("name").as("names"))
-    vertexPapers
-      .join(papers, Seq("pid"))
-      .join(namesOnPaper, Seq("pid"))
-      .select("vid", "name", "pid", "title", "venue", "year", "names")
-      .as[(String, String, Long, Seq[String], String, Int, Seq[String])]
-      .groupByKey(_._1)
+    occurrencePapers[String](vertexPapers.select("vid", "name", "pid"), papers, authorships)
+      .groupByKey(_.key)
       .mapGroups { (vid, it) =>
         val rows = it.toVector
-        of(vid, rows.head._2, rows.map(r => (r._3, r._4, r._5, r._6, r._7)), graph, wlIters)
+        of(vid, rows.head.name, rows.map(_.paper), graph, wlIters)
       }
   }
 

@@ -77,9 +77,7 @@ object ScnBuilder {
       g.comps.groupBy(_.name).map { case (name, cs) => name -> cs.map(c => c.nbr -> (cnt((name, c.nbr)), c.comp)).toMap })
 
     val vertexPapers = Stage.materialise(
-      authorships
-        .groupBy("pid")
-        .agg(collect_set("name").as("names"))
+      namesOnPaper(authorships)
         .as[(Long, Seq[String])]
         .flatMap { case (pid, names) =>
           names.map { name =>

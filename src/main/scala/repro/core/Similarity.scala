@@ -76,13 +76,12 @@ object Similarity {
 
   object Facts {
     def apply(p: VertexProfile): Facts = {
-      val words = p.wordYears.map(_._1).distinct
       val venueCounts = p.venues.groupBy(identity).map { case (v, vs) => (v, vs.size) }
       Facts(
         wl = p.wl,
         wlSelf = WlKernel.kernel(p.wl, p.wl),
         cliques = p.cliques.toSet,
-        center = if (words.isEmpty) None else Some(VectorOps.mean(words.map(w => WordVectors.vector(w)))),
+        center = WordVectors.center(p.wordYears.map(_._1)),
         wordYears = p.wordYears.groupBy(_._1).view.mapValues(_.map(_._2)).toMap,
         repVenue = venueCounts.minByOption { case (v, c) => (-c, v) }.map(_._1),
         venueCounts = venueCounts,

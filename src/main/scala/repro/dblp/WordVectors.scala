@@ -61,4 +61,12 @@ object WordVectors {
     val n = VectorOps.norm(raw)
     if (n == 0.0) raw else raw.map(_ / n)
   }
+
+  /** Mean vector of the distinct `words`, summed in the order they first
+    * occur (γ3 and the supervised title cosine); None without words.
+    */
+  def center(words: Seq[String]): Option[Array[Double]] = {
+    val ws = words.distinct
+    if (ws.isEmpty) None else Some(VectorOps.mean(ws.map(vector(_))))
+  }
 }

@@ -35,7 +35,9 @@ object Experiments {
     Corpus(papers, auth, Evaluation.ambiguousNames(auth).cache(), cfg)
   }
 
-  /** Deterministic paper subsample (Table V / Fig 5 data-scale axis). */
+  /** Deterministic paper subsample (Table V / Fig 5 data-scale axis), cached;
+    * `c` itself at fraction 1.0.
+    */
   def subsample(c: Corpus, fraction: Double): Corpus = {
     if (fraction >= 1.0) return c
     val keep = c.papers
@@ -93,7 +95,7 @@ object Experiments {
     Seq(Unsupervised.Anon(), Unsupervised.NetE(), Unsupervised.AminerB(), Unsupervised.Ghost())
 
   def runUnsupervised(spark: SparkSession, c: Corpus, clusterer: Baselines.NameClusterer): Metrics =
-    evaluate(spark, c, Baselines.run(spark, c.papers, c.auth, clusterer, Some(c.evalNames)))
+    evaluate(spark, c, Baselines.run(spark, c.papers, c.auth, clusterer, c.evalNames))
 
   def runSupervised(spark: SparkSession, c: Corpus, algo: String): Metrics = {
     val pairs = Supervised.labeledPairs(spark, c.papers, c.auth, c.evalNames)
@@ -145,7 +147,7 @@ object Experiments {
       val sub = subsample(c, f)
       val nEval = math.max(1L, sub.evalNames.count())
       val baselineRows = unsupervisedClusterers.map { cl =>
-        val (_, secs) = timed(Baselines.run(spark, sub.papers, sub.auth, cl, Some(sub.evalNames)).count())
+        val (_, secs) = timed(Baselines.run(spark, sub.papers, sub.auth, cl, sub.evalNames).count())
         TimingRow(cl.id, f, secs / nEval, None)
       }
       val (r, secs) = timed {
@@ -154,6 +156,7 @@ object Experiments {
         r
       }
       val quality = StageEffect(evaluate(spark, sub, r.scnAssignment), evaluate(spark, sub, r.assignment))
+      if (sub ne c) Seq(sub.papers, sub.auth, sub.evalNames).foreach(_.unpersist())
       baselineRows :+ TimingRow("IUAD", f, secs / nEval, Some(quality))
     }
   }

@@ -1,6 +1,6 @@
 package repro
 
-import org.apache.spark.sql.SparkSession
+import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.scalatest.BeforeAndAfterAll
 import org.scalatest.funsuite.AnyFunSuite
 
@@ -16,6 +16,25 @@ trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
   lazy val spark: SparkSession = SparkSpec.shared
 
   override def afterAll(): Unit = { super.afterAll() }
+
+  /** `body` over `inputs` in three layouts: 1 shuffle partition; 8; and 8
+    * with each input's rows shuffled and spread over 5 partitions. An
+    * order-invariant `body` gives three equal results.
+    */
+  def inThreeLayouts[T](inputs: DataFrame*)(body: Seq[DataFrame] => T): Seq[T] = {
+    def shuffled(df: DataFrame, seed: Long): DataFrame = {
+      val rows = new scala.util.Random(seed).shuffle(df.collect().toSeq)
+      spark.createDataFrame(java.util.Arrays.asList(rows: _*), df.schema).repartition(5)
+    }
+    val key = "spark.sql.shuffle.partitions"
+    val before = spark.conf.get(key)
+    try {
+      spark.conf.set(key, "1")
+      val one = body(inputs)
+      spark.conf.set(key, "8")
+      Seq(one, body(inputs), body(inputs.zipWithIndex.map { case (df, i) => shuffled(df, 7L + i) }))
+    } finally spark.conf.set(key, before)
+  }
 }
 
 object SparkSpec {

@@ -1,8 +1,8 @@
 package repro.baselines
 
 import repro.SparkSpec
+import repro.core.Model.PaperRec
 import repro.util.VectorOps
-import Baselines.PaperRec
 
 class PaperEmbeddingSpec extends SparkSpec {
 

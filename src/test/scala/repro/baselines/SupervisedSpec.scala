@@ -2,8 +2,8 @@ package repro.baselines
 
 import repro.SparkSpec
 import repro.core.Evaluation
+import repro.core.Model.PaperRec
 import repro.dblp.DblpSynth
-import Baselines.PaperRec
 
 class SupervisedSpec extends SparkSpec {
 
@@ -45,6 +45,18 @@ class SupervisedSpec extends SparkSpec {
     assert(pairs.length === 3)
     assert(pairs.count(_.label == 1) === 1) // (1,2)
     assert(pairs.forall(_.name == "a"))
+  }
+
+  test("labeledPairs does not depend on shuffle partitions or input row order") {
+    val (papers, auth) = DblpSynth.generate(spark, DblpSynth.Config(sf = 0.002, seed = 52L))
+    val evalNames = Evaluation.ambiguousNames(auth).cache()
+    val runs = inThreeLayouts(papers, auth) { case Seq(p, a) =>
+      Supervised.labeledPairs(spark, p, a, evalNames)
+        .map(lp => (lp.name, lp.pid1, lp.pid2, lp.x.toSeq, lp.label))
+        .sortBy(lp => (lp._1, lp._2, lp._3)).toSeq
+    }
+    assert(runs.head.nonEmpty)
+    assert(runs.distinct.size === 1)
   }
 
   test("crossPredict yields sane metrics for all four algorithms") {

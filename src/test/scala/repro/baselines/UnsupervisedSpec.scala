@@ -3,8 +3,8 @@ package repro.baselines
 import org.apache.spark.sql.functions._
 import repro.SparkSpec
 import repro.core.Evaluation
+import repro.core.Model.PaperRec
 import repro.dblp.DblpSynth
-import Baselines.PaperRec
 
 class UnsupervisedSpec extends SparkSpec {
   import spark.implicits._
@@ -60,7 +60,7 @@ class UnsupervisedSpec extends SparkSpec {
     val cfg = DblpSynth.Config(sf = 0.002, seed = 33L)
     val (papers, auth) = DblpSynth.generate(spark, cfg)
     val evalNames = Evaluation.ambiguousNames(auth)
-    val out = Baselines.run(spark, papers, auth, Unsupervised.Anon(), Some(evalNames)).cache()
+    val out = Baselines.run(spark, papers, auth, Unsupervised.Anon(), evalNames).cache()
     assert(out.count() > 0)
     // every row's cluster is prefixed by its name
     val bad = out.filter(!col("cluster").startsWith(col("name"))).count()
@@ -74,8 +74,28 @@ class UnsupervisedSpec extends SparkSpec {
     val cfg = DblpSynth.Config(sf = 0.002, seed = 34L)
     val (papers, auth) = DblpSynth.generate(spark, cfg)
     val evalNames = Evaluation.ambiguousNames(auth)
-    val out = Baselines.run(spark, papers, auth, Unsupervised.Anon(), Some(evalNames))
+    val out = Baselines.run(spark, papers, auth, Unsupervised.Anon(), evalNames)
     val m = Evaluation.pairwiseMicro(spark, out.select("pid", "name", "cluster"), auth, Some(evalNames))
     assert(m.f1 > 0.05 && m.f1 < 1.0, s"ANON metrics out of sane band: $m")
+  }
+
+  /** Labels each paper by the hash of its record (co-name order included),
+    * so the runner's output shows exactly what a clusterer is given.
+    */
+  private object Echo extends Baselines.NameClusterer {
+    val id = "echo"
+    def clusterName(papers: IndexedSeq[PaperRec]): Array[Int] = papers.map(_.hashCode).toArray
+  }
+
+  test("the runner's records, NetE and Aminer do not depend on shuffle partitions or input row order") {
+    val (papers, auth) = DblpSynth.generate(spark, DblpSynth.Config(sf = 0.002, seed = 35L))
+    val evalNames = Evaluation.ambiguousNames(auth).cache()
+    for (cl <- Seq(Echo, Unsupervised.NetE(), Unsupervised.AminerB())) {
+      val runs = inThreeLayouts(papers, auth) { case Seq(p, a) =>
+        Baselines.run(spark, p, a, cl, evalNames).as[(Long, String, String)].collect().sorted.toSeq
+      }
+      assert(runs.head.nonEmpty, cl.id)
+      assert(runs.distinct.size === 1, cl.id)
+    }
   }
 }

@@ -104,10 +104,10 @@ class ProfilesSpec extends SparkSpec with PropChecks {
     }
   }
 
-  /** Paper rows of vertex "a#c0" with distinct pids; the names on a paper
-    * may or may not include "a".
+  /** Papers of vertex "a#c0" with distinct pids, seen from "a"; the names on
+    * a paper may or may not include "a".
     */
-  private val paperRowsGen: Gen[Seq[Profiles.PaperRow]] = {
+  private val paperRecsGen: Gen[Seq[Model.PaperRec]] = {
     val paper = for {
       title <- Gen.listOf(Gen.oneOf("w1", "w2", "w3", "rare"))
       venue <- Gen.oneOf("v0", "v1", "v2")
@@ -117,21 +117,21 @@ class ProfilesSpec extends SparkSpec with PropChecks {
     for {
       pids <- Gen.listOf(Gen.choose(1L, 30L)).map(_.distinct)
       ps <- Gen.listOfN(pids.size, paper)
-    } yield pids.zip(ps).map { case (pid, (t, v, y, ns)) => (pid, t, v, y, ns) }
+    } yield pids.zip(ps).map { case (pid, (t, v, y, ns)) => Model.Occurrence("a#c0", "a", pid, t, v, y, ns).paper }
   }
 
   private val graph = ScnBuilder.graph(Seq(("a", "b", 3L)))
 
   test("of does not depend on the order of its paper rows or of the names on a paper") {
-    forAll(Gen.zip(paperRowsGen, Gen.long)) { case (rows, seed) =>
+    forAll(Gen.zip(paperRecsGen, Gen.long)) { case (rows, seed) =>
       val rnd = new scala.util.Random(seed)
-      val shuffled = rnd.shuffle(rows).map(r => r.copy(_5 = rnd.shuffle(r._5)))
+      val shuffled = rnd.shuffle(rows).map(r => r.copy(coNames = rnd.shuffle(r.coNames)))
       assert(Profiles.of("a#c0", "a", shuffled, graph, 2) === Profiles.of("a#c0", "a", rows, graph, 2))
     }
   }
 
   test("of: cliques never contain the vertex's own name, and are canonical pairs") {
-    forAll(paperRowsGen) { rows =>
+    forAll(paperRecsGen) { rows =>
       Profiles.of("a#c0", "a", rows, graph, 2).cliques.foreach { c =>
         val Array(y, z) = c.split(Profiles.CliqueSep)
         assert(y != "a" && z != "a", c)
@@ -151,7 +151,7 @@ class ProfilesSpec extends SparkSpec with PropChecks {
     folded.foreach { p =>
       val rows = byVid(p.vid).toSeq.map { case (_, _, pid) =>
         val (_, title, venue, year) = papers(pid)
-        (pid, title, venue, year, namesOn(pid))
+        Model.Occurrence(p.vid, p.name, pid, title, venue, year, namesOn(pid)).paper
       }
       assert(Profiles.of(p.vid, byVid(p.vid).head._2, rows, scn.graph, 2) === p, p.vid)
     }

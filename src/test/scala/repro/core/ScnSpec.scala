@@ -230,16 +230,8 @@ class ScnSpec extends SparkSpec with PropChecks {
       val scn = ScnBuilder.build(spark, a, 2)
       Seq(sorted(scn.vertexPapers), sorted(scn.vertices), sorted(scn.edges))
     }
-    val key = "spark.sql.shuffle.partitions"
-    val before = spark.conf.get(key)
-    try {
-      spark.conf.set(key, "1")
-      val one = scnRows(auth)
-      spark.conf.set(key, "8")
-      val rows = new scala.util.Random(7L).shuffle(auth.collect().toSeq)
-      val shuffled = spark.createDataFrame(java.util.Arrays.asList(rows: _*), auth.schema).repartition(5)
-      assert(scnRows(shuffled) === one)
-      assert(one.head.exists(_.contains("#c")))
-    } finally spark.conf.set(key, before)
+    val runs = inThreeLayouts(auth) { case Seq(a) => scnRows(a) }
+    assert(runs.distinct.size === 1)
+    assert(runs.head.head.exists(_.contains("#c")))
   }
 }

@@ -1,6 +1,7 @@
 package repro.exp
 
 import java.nio.file.Files
+import org.apache.spark.storage.StorageLevel
 import org.json4s._
 import org.json4s.jackson.JsonMethods.parse
 import repro.SparkSpec
@@ -66,7 +67,9 @@ class ExperimentsSpec extends SparkSpec {
   }
 
   test("tableV times every method per fraction and evaluates IUAD's stages") {
-    val fractions = Seq(0.3, 0.6)
+    val fractions = Seq(0.3, 1.0)
+    c.evalNames.count()
+    val cachedBefore = spark.sparkContext.getPersistentRDDs.size
     val rows = Experiments.tableV(spark, c, fractions)
     val methods = Experiments.unsupervisedClusterers.map(_.id) :+ "IUAD"
     assert(rows.map(r => (r.fraction, r.algorithm)) === fractions.flatMap(f => methods.map(m => (f, m))))
@@ -75,6 +78,10 @@ class ExperimentsSpec extends SparkSpec {
       assert(r.quality.isDefined === (r.algorithm == "IUAD"), s"$r")
     }
     rows.flatMap(_.quality).foreach(q => assert(q.gcn.tp + q.gcn.fp + q.gcn.fn + q.gcn.tn > 0))
+    // Each fraction's subsample is unpersisted, but never the corpus itself
+    // (fraction 1.0); each Iuad.run keeps at most its two stage outputs.
+    Seq(c.papers, c.auth, c.evalNames).foreach(df => assert(df.storageLevel !== StorageLevel.NONE))
+    assert(spark.sparkContext.getPersistentRDDs.size - cachedBefore <= 2 * fractions.size)
   }
 
   test("write emits JSON that parses back with sf, seed and one entry per row") {
