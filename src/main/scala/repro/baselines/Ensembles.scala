@@ -26,12 +26,12 @@ object Ensembles {
 
   def adaBoost(xs: Array[Array[Double]], y: Array[Int], rounds: Int = 50): AdaBoostModel = {
     val n = xs.length
-    val yd = y.map(_.toDouble)
     val w = Array.fill(n)(1.0 / n)
     val out = scala.collection.mutable.ArrayBuffer.empty[(Node, Double)]
     var r = 0
     while (r < rounds) {
-      val stump = Tree.fitRegression(xs, yd, w, maxDepth = 1, minLeaf = 1)
+      // the weighted least-squares stump on y: g = −w·y, h = w
+      val stump = Tree.fit(xs, Array.tabulate(n)(i => -w(i) * y(i)), w, maxDepth = 1)
       val pred = xs.map(x => stump.predict(x) >= 0.5)
       var eps = 0.0
       var i = 0
@@ -68,35 +68,39 @@ object Ensembles {
       sigmoid(f0 + trees.map(t => lr * t.predict(x)).sum)
   }
 
-  /** `rounds` trees from the base-rate log-odds; `fitTree` fits the next
-    * tree to the current scores f(x).
+  /** Newton boosting of the logistic loss from the base-rate log-odds: each
+    * round fits a [[Tree.fit]] to g = p − y, with h = p(1 − p) if
+    * `secondOrder` and h = 1 otherwise, where p = sigmoid(f(x)).
     */
-  private def boost(xs: Array[Array[Double]], y: Array[Int], rounds: Int, lr: Double)(
-      fitTree: Array[Double] => Node): BoostedModel = {
+  private def newtonBoost(
+      xs: Array[Array[Double]],
+      y: Array[Int],
+      rounds: Int,
+      lr: Double,
+      maxDepth: Int,
+      lambda: Double,
+      secondOrder: Boolean,
+  ): BoostedModel = {
     val n = xs.length
     val base = math.min(math.max(y.sum.toDouble / math.max(1, n), 1e-6), 1.0 - 1e-6)
     val f0 = math.log(base / (1.0 - base))
     val f = Array.fill(n)(f0)
-    val trees = scala.collection.mutable.ArrayBuffer.empty[Node]
-    var r = 0
-    while (r < rounds) {
-      val t = fitTree(f)
-      trees += t
+    val trees = Seq.fill(rounds) {
+      val p = f.map(sigmoid)
+      val h = if (secondOrder) p.map(q => math.max(q * (1.0 - q), 1e-6)) else Array.fill(n)(1.0)
+      val t = Tree.fit(xs, Array.tabulate(n)(i => p(i) - y(i)), h, maxDepth, minLeaf = 3, lambda = lambda)
       var i = 0
       while (i < n) { f(i) += lr * t.predict(xs(i)); i += 1 }
-      r += 1
+      t
     }
-    BoostedModel(f0, trees.toSeq, lr)
+    BoostedModel(f0, trees, lr)
   }
 
-  /** Gradient-boosted regression trees with logistic loss. */
-  def gbdt(xs: Array[Array[Double]], y: Array[Int], rounds: Int = 60, lr: Double = 0.2, maxDepth: Int = 3): BoostedModel = {
-    val ones = Array.fill(xs.length)(1.0)
-    boost(xs, y, rounds, lr) { f =>
-      val resid = Array.tabulate(xs.length)(i => y(i) - sigmoid(f(i)))
-      Tree.fitRegression(xs, resid, ones, maxDepth = maxDepth, minLeaf = 3)
-    }
-  }
+  /** Gradient-boosted trees with logistic loss (Friedman): the Newton
+    * booster with a unit hessian and no leaf penalty.
+    */
+  def gbdt(xs: Array[Array[Double]], y: Array[Int], rounds: Int = 60, lr: Double = 0.2, maxDepth: Int = 3): BoostedModel =
+    newtonBoost(xs, y, rounds, lr, maxDepth, lambda = 0.0, secondOrder = false)
 
   /** Random forest of deeper trees on bootstrap rows + column subsamples. */
   final case class RandomForestModel(trees: Seq[Node]) extends BinaryClassifier {
@@ -112,11 +116,10 @@ object Ensembles {
       seed: Long = 11L,
   ): RandomForestModel = {
     val n = xs.length
-    val yd = y.map(_.toDouble)
     val trees = (0 until nTrees).map { t =>
       val idx = Array.tabulate(n)(i => Rng.uniformInt(n, seed, t.toLong, i.toLong))
-      val bx = idx.map(xs(_)); val by = idx.map(yd(_))
-      Tree.fitRegression(bx, by, Array.fill(n)(1.0), maxDepth, minLeaf = 2,
+      // the least-squares tree on y: g = −y, h = 1
+      Tree.fit(idx.map(xs(_)), idx.map(i => -y(i).toDouble), Array.fill(n)(1.0), maxDepth, minLeaf = 2,
         featureFrac = 0.6, seed = Rng.mix(seed, t.toLong))
     }
     RandomForestModel(trees)
@@ -131,10 +134,5 @@ object Ensembles {
       maxDepth: Int = 4,
       lambda: Double = 1.0,
   ): BoostedModel =
-    boost(xs, y, rounds, lr) { f =>
-      val p = f.map(sigmoid)
-      val g = Array.tabulate(xs.length)(i => p(i) - y(i))
-      val h = Array.tabulate(xs.length)(i => math.max(p(i) * (1.0 - p(i)), 1e-6))
-      Tree.fitNewton(xs, g, h, maxDepth, lambda = lambda, minLeaf = 3)
-    }
+    newtonBoost(xs, y, rounds, lr, maxDepth, lambda, secondOrder = true)
 }

@@ -76,31 +76,41 @@ object Supervised {
       .collect()
   }
 
-  private def train(algo: String, xs: Array[Array[Double]], y: Array[Int]): Ensembles.BinaryClassifier =
-    algo match {
-      case "adaboost" => Ensembles.adaBoost(xs, y)
-      case "gbdt"     => Ensembles.gbdt(xs, y)
-      case "rf"       => Ensembles.randomForest(xs, y)
-      case "xgboost"  => Ensembles.xgbLike(xs, y)
-      case other      => throw new IllegalArgumentException(s"unknown supervised algo: $other")
-    }
+  /** One supervised algorithm: its key, its Table III label and its trainer. */
+  final case class Algorithm(
+      key: String,
+      label: String,
+      train: (Array[Array[Double]], Array[Int]) => Ensembles.BinaryClassifier,
+  )
 
-  val Algorithms: Set[String] = Set("adaboost", "gbdt", "rf", "xgboost")
+  /** The four algorithms, in Table III's row order. */
+  val Algorithms: Seq[Algorithm] = Seq(
+    Algorithm("adaboost", "AdaBoost", Ensembles.adaBoost(_, _)),
+    Algorithm("gbdt", "GBDT", Ensembles.gbdt(_, _)),
+    Algorithm("rf", "RF", Ensembles.randomForest(_, _)),
+    Algorithm("xgboost", "XGBoost", Ensembles.xgbLike(_, _)),
+  )
 
-  /** 2-fold cross-prediction by name hash: micro counts over all pairs. */
-  def crossPredict(pairs: Array[LabeledPair], algo: String, seed: Long = 31L, maxTrain: Int = 20000): Metrics = {
-    require(Algorithms.contains(algo), s"unknown supervised algo: $algo")
+  private val FoldSeed = 31L
+  private val MaxTrain = 20000
+
+  /** 2-fold cross-prediction by name hash: micro counts over all pairs. A
+    * training fold above `MaxTrain` pairs is cut to a seeded sample.
+    */
+  def crossPredict(pairs: Array[LabeledPair], algo: String): Metrics = {
+    val algorithm = Algorithms.find(_.key == algo)
+    require(algorithm.isDefined, s"unknown supervised algo: $algo")
     require(pairs.nonEmpty, "no labelled pairs")
-    val fold: LabeledPair => Int = p => (Rng.mix(seed, p.name.hashCode.toLong) & 1L).toInt
+    val fold: LabeledPair => Int = p => (Rng.mix(FoldSeed, p.name.hashCode.toLong) & 1L).toInt
     var m = Metrics(0, 0, 0, 0)
     for (test <- 0 to 1) {
       val trainPairs0 = pairs.filter(fold(_) != test)
       val testPairs = pairs.filter(fold(_) == test)
       if (trainPairs0.nonEmpty && testPairs.nonEmpty) {
         val trainPairs =
-          if (trainPairs0.length <= maxTrain) trainPairs0
-          else trainPairs0.sortBy(p => Rng.mix(seed, p.pid1, p.pid2)).take(maxTrain)
-        val clf = train(algo, trainPairs.map(_.x), trainPairs.map(_.label))
+          if (trainPairs0.length <= MaxTrain) trainPairs0
+          else trainPairs0.sortBy(p => Rng.mix(FoldSeed, p.pid1, p.pid2)).take(MaxTrain)
+        val clf = algorithm.get.train(trainPairs.map(_.x), trainPairs.map(_.label))
         testPairs.foreach { p =>
           val pred = clf.predict(p.x)
           val truth = p.label == 1

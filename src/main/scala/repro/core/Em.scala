@@ -43,10 +43,13 @@ object Em {
     */
   final case class Config(
       dists: Seq[String] = Seq("gaussian", "exponential", "gaussian", "exponential", "multinomial", "exponential"),
-      maxIters: Int = 100,
-      tol: Double = 1e-6,
-      initQuantile: Double = 0.85,
   )
+
+  // EM stops after MaxIters iterations, or once the log-likelihood moves by
+  // less than Tol relative to its magnitude.
+  private val MaxIters = 100
+  private val Tol = 1e-6
+  private val InitQuantile = 0.85
 
   /** Fit the mixture.
     *
@@ -67,12 +70,12 @@ object Em {
     val his = Array.tabulate(k)(i => math.max(all.iterator.map(_(i)).max, 1e-9))
 
     // Init responsibilities: pairs whose summed feature z-score is in the top
-    // (1 - initQuantile) start as likely-matched; known matched start at 1.
+    // (1 - InitQuantile) start as likely-matched; known matched start at 1.
     val sums = all.map(_.sum)
     val sortedSums = sums.take(nFree).sorted
     val cut =
       if (nFree == 0) Double.MaxValue
-      else sortedSums(math.min((cfg.initQuantile * nFree).toInt, nFree - 1))
+      else sortedSums(math.min((InitQuantile * nFree).toInt, nFree - 1))
     val l = Array.tabulate(n) { j =>
       if (j >= nFree) 1.0
       else if (sums(j) >= cut) 0.9
@@ -83,7 +86,7 @@ object Em {
     var prevLl = Double.NegativeInfinity
     var it = 0
     var done = false
-    while (it < cfg.maxIters && !done) {
+    while (it < MaxIters && !done) {
       // E-step
       var j = 0
       var ll = 0.0
@@ -98,7 +101,7 @@ object Em {
       }
       // M-step
       model = mStep(all, l, cfg, his)
-      if (math.abs(ll - prevLl) < cfg.tol * math.max(1.0, math.abs(prevLl))) done = true
+      if (math.abs(ll - prevLl) < Tol * math.max(1.0, math.abs(prevLl))) done = true
       prevLl = ll
       it += 1
     }

@@ -24,18 +24,17 @@ object Similarity {
 
   val NumFeatures = 6
 
+  /** γ4's decay factor α (Eq. 7). */
+  val Alpha = 0.62
+
   /** Corpus-level frequencies used by γ4 (FB) and γ6 (FH). */
-  final case class GlobalStats(
-      wordFreq: Map[String, Long],
-      venueFreq: Map[String, Long],
-      alpha: Double = 0.62,
-  )
+  final case class GlobalStats(wordFreq: Map[String, Long], venueFreq: Map[String, Long])
 
   /** Compute FB(b) and FH(h) from the papers table in one aggregation over
     * tagged (kind, key) rows: one per title word ("w") and one per paper's
     * venue ("v").
     */
-  def globalStats(spark: SparkSession, papers: DataFrame, alpha: Double = 0.62): GlobalStats = {
+  def globalStats(spark: SparkSession, papers: DataFrame): GlobalStats = {
     import spark.implicits._
     val counts = papers
       .select(lit("w").as("kind"), explode(col("title")).as("key"))
@@ -45,7 +44,7 @@ object Similarity {
       .as[(String, String, Long)]
       .collect()
     def freq(kind: String): Map[String, Long] = counts.collect { case (`kind`, key, f) => key -> f }.toMap
-    GlobalStats(freq("w"), freq("v"), alpha)
+    GlobalStats(freq("w"), freq("v"))
   }
 
   private def safeLogInv(f: Long): Double = 1.0 / math.log(math.max(f, 2L).toDouble)
@@ -114,7 +113,7 @@ object Similarity {
     val common = fi.wordYears.keySet.intersect(fj.wordYears.keySet)
     val s = common.iterator.map { b =>
       val minDiff = (for (a <- fi.wordYears(b); c <- fj.wordYears(b)) yield math.abs(a - c)).min
-      math.exp(-stats.alpha * minDiff) * safeLogInv(stats.wordFreq.getOrElse(b, 1L))
+      math.exp(-Alpha * minDiff) * safeLogInv(stats.wordFreq.getOrElse(b, 1L))
     }.sum
     s / tau(fi, fj)
   }

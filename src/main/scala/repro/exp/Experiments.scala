@@ -97,15 +97,17 @@ object Experiments {
   def runUnsupervised(spark: SparkSession, c: Corpus, clusterer: Baselines.NameClusterer): Metrics =
     evaluate(spark, c, Baselines.run(spark, c.papers, c.auth, clusterer, c.evalNames))
 
-  def runSupervised(spark: SparkSession, c: Corpus, algo: String): Metrics = {
+  /** Table III's supervised rows: the labelled pairs are built once and
+    * cross-predicted by every algorithm of [[Supervised.Algorithms]].
+    */
+  def runSupervised(spark: SparkSession, c: Corpus): Seq[NamedMetrics] = {
     val pairs = Supervised.labeledPairs(spark, c.papers, c.auth, c.evalNames)
-    Supervised.crossPredict(pairs, algo)
+    Supervised.Algorithms.map(a => NamedMetrics(a.label, "Supervised", Supervised.crossPredict(pairs, a.key)))
   }
 
   /** All nine Table III rows; IUAD's is the GCN of the given run on `c`. */
   def tableIII(spark: SparkSession, c: Corpus, iuad: IuadRun): Seq[NamedMetrics] = {
-    val sup = Seq("adaboost" -> "AdaBoost", "gbdt" -> "GBDT", "rf" -> "RF", "xgboost" -> "XGBoost")
-      .map { case (key, label) => NamedMetrics(label, "Supervised", runSupervised(spark, c, key)) }
+    val sup = runSupervised(spark, c)
     val unsup = unsupervisedClusterers.map { cl =>
       NamedMetrics(cl.id, "Unsupervised", runUnsupervised(spark, c, cl))
     }

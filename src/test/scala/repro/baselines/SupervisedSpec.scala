@@ -65,7 +65,7 @@ class SupervisedSpec extends SparkSpec {
     val evalNames = Evaluation.ambiguousNames(auth)
     val pairs = Supervised.labeledPairs(spark, papers, auth, evalNames)
     assert(pairs.length > 50, s"need pairs to train on, got ${pairs.length}")
-    for (algo <- Seq("adaboost", "gbdt", "rf", "xgboost")) {
+    for (algo <- Supervised.Algorithms.map(_.key)) {
       val m = Supervised.crossPredict(pairs, algo)
       info(s"$algo: $m")
       assert(m.tp + m.fp + m.fn + m.tn === pairs.length.toLong, algo)

@@ -242,7 +242,7 @@ object SimilaritySpec {
     val yj = pj.wordYears.groupBy(_._1).view.mapValues(_.map(_._2)).toMap
     val time = yi.keySet.intersect(yj.keySet).iterator.map { b =>
       val minDiff = (for (a <- yi(b); c <- yj(b)) yield math.abs(a - c)).min
-      math.exp(-stats.alpha * minDiff) * safeLogInv(stats.wordFreq.getOrElse(b, 1L))
+      math.exp(-Similarity.Alpha * minDiff) * safeLogInv(stats.wordFreq.getOrElse(b, 1L))
     }.sum / tau
 
     def representativeVenue(p: VertexProfile): Option[String] =

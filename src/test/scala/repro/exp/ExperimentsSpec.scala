@@ -5,6 +5,7 @@ import org.apache.spark.storage.StorageLevel
 import org.json4s._
 import org.json4s.jackson.JsonMethods.parse
 import repro.SparkSpec
+import repro.baselines.Supervised
 
 /** Harness smoke tests at tiny scale — the real numbers come from
   * `bench/test`; here we verify the plumbing of every table generator.
@@ -54,8 +55,14 @@ class ExperimentsSpec extends SparkSpec {
   }
 
   test("runSupervised covers all labelled pairs") {
-    val m = Experiments.runSupervised(spark, c, "rf")
-    assert(m.tp + m.fp + m.fn + m.tn > 0)
+    // Half the corpus keeps the four learners' training time small.
+    val half = Experiments.subsample(c, 0.5)
+    val nPairs = Supervised.labeledPairs(spark, half.papers, half.auth, half.evalNames).length
+    val rows = Experiments.runSupervised(spark, half)
+    assert(nPairs > 0)
+    assert(rows.map(r => (r.algorithm, r.group)) === Supervised.Algorithms.map(a => (a.label, "Supervised")))
+    rows.foreach(r => assert(r.m.tp + r.m.fp + r.m.fn + r.m.tn === nPairs.toLong, r.algorithm))
+    Seq(half.papers, half.auth, half.evalNames).foreach(_.unpersist())
   }
 
   test("tableVI produces rows with timing") {
